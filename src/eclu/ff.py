@@ -622,19 +622,19 @@ def coerce_down(base, big, arr):
 
 
 class PowTable:
-    """Powers theta^0..theta^(m-1) of a high-order element, with dlog lookup.
+    """Powers theta^0..theta^(m-1) of a high-order element.
 
-    All m powers are pairwise distinct (checked at construction).
+    All m powers are pairwise distinct (element_of_order_at_least checks
+    this), so the index of a power in the table is its exponent.
     """
 
-    __slots__ = ("ctx", "theta", "m", "powers", "dlog")
+    __slots__ = ("ctx", "theta", "m", "powers")
 
     def __init__(self, ctx, theta, m, powers):
         self.ctx = ctx
         self.theta = int(theta)
         self.m = int(m)
         self.powers = powers
-        self.dlog = {int(v): j for j, v in enumerate(powers)}
 
 
 def element_of_order_at_least(ctx, m, rng=None):

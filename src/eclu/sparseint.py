@@ -6,7 +6,8 @@ from its 2s evaluations g_i = sum_j e_j * theta^(i*j):
  1. Berlekamp-Massey finds the minimal linear recurrence of the sequence,
     whose characteristic polynomial has the term locations theta^j as roots.
  2. Roots are located by scanning the precomputed powers theta^0..theta^(m-1)
-    (Chien-style, O(m*s) per column) and mapped to indices via the dlog table.
+    (Chien-style, O(m*s) per column); the index of a root is its position
+    in the table.
  3. Values come from the transposed-Vandermonde system on the first s'
     evaluations, solved in O(s'^2) by synthetic division against the locator.
  4. The candidate is re-checked against all 2s evaluations before being
@@ -167,24 +168,32 @@ def batch_interpolate(ctx, G, s, tab):
             for j in range(Ga.shape[1])]
 
 
-def apply_vandermonde(ctx, tab, nrows, M):
-    """(theta^(i*j))_{i<nrows, j<m} applied to M, without materializing it.
+def vandermonde_cols(ctx, tab, nrows, cols):
+    """Columns cols of the Vandermonde projector V, nrows rows.
 
-    Accumulates one outer product per nonzero row of M with a running power
-    of theta^j, so the cost tracks the number of nonzero rows.
+    out[i, t] = theta^(i * cols[t]); row i is row i-1 times theta^cols,
+    one elementwise field product per row.
+    """
+    x = tab.powers[cols]
+    out = np.empty((nrows, len(x)), dtype=np.int64)
+    if nrows:
+        out[0] = 1
+    for i in range(1, nrows):
+        out[i] = ctx.mul(out[i - 1], x)
+    return out
+
+
+def apply_vandermonde(ctx, tab, nrows, M):
+    """(theta^(i*j))_{i<nrows, j<m} applied to M.
+
+    Only the columns of V that meet a nonzero row of M are built, and the
+    product is one field matmul over those rows, so the cost tracks the
+    number of nonzero rows.
     """
     Ma = M.a if isinstance(M, Mat) else M
-    m, ncols = Ma.shape
+    m = Ma.shape[0]
     if m > tab.m:
         raise ValueError("row dimension exceeds the power table")
-    out = np.zeros((nrows, ncols), dtype=np.int64)
     live = np.nonzero(Ma.any(axis=1))[0]
-    geo = np.empty(nrows, dtype=np.int64)
-    for j in live:
-        pj = int(tab.powers[j])
-        cur = 1
-        for i in range(nrows):
-            geo[i] = cur
-            cur = ctx.smul(cur, pj)
-        out = ctx.add(out, ctx.mul(geo[:, None], Ma[j][None, :]))
+    out = ctx.matmul(vandermonde_cols(ctx, tab, nrows, live), Ma[live])
     return Mat(ctx, out) if isinstance(M, Mat) else out

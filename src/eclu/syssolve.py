@@ -21,7 +21,7 @@ from .blackbox import BlackboxRHS
 from .croutec import crout_ec
 from .mat import DimensionError, Mat, PackedLU, Tri
 from .report import CorrectionReport
-from .sparseint import apply_vandermonde, batch_interpolate
+from .sparseint import apply_vandermonde, batch_interpolate, vandermonde_cols
 from .trsmec import (MonteCarloFailure, TrsmEcParams, freivalds_lambda,
                      iteration_cap, trsm_ec_lower_right, trsm_ec_upper_right)
 
@@ -185,7 +185,7 @@ def tr_inv_ec(R, U, params):
             tab = ff.element_of_order_at_least(ctx, n, rng=rng)
         s = min(n, max(1, math.ceil(2 * (k_guess - k_done) / c)))
         # V (I - R U) P, then divide out P^T U P on the right
-        G = _vand_identity_cols(ctx, tab, 2 * s, bad)
+        G = vandermonde_cols(ctx, tab, 2 * s, bad)
         VR = apply_vandermonde(ctx, tab, 2 * s, Ra)
         G = ctx.sub(G, ctx.matmul(VR, Ux.cols(bad).a))
         Ux.principal(bad).solve_right(G)
@@ -200,18 +200,6 @@ def tr_inv_ec(R, U, params):
         R.a[...] = ff.coerce_down(base, ctx, Ra)
     rep.wall_time = time.perf_counter() - t0
     return rep
-
-
-def _vand_identity_cols(ctx, tab, nrows, cols):
-    """Columns of the Vandermonde projector: out[i, t] = theta^(i * cols[t])."""
-    out = np.empty((nrows, len(cols)), dtype=np.int64)
-    for t, j in enumerate(cols):
-        pj = int(tab.powers[j])
-        cur = 1
-        for i in range(nrows):
-            out[i, t] = cur
-            cur = ctx.smul(cur, pj)
-    return out
 
 
 def _params(eps, params):

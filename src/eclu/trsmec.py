@@ -119,8 +119,8 @@ def _trsm_ec_right(R, H, T, params):
         # narrow system: evaluating H densely and checking R T = H costs no
         # more than one projection round, so correct deterministically
         ctx = R.ctx
-        if (ctx.nu == 1 and not ctx._big
-                and max(m, n, ell) <= ctx._acc_limit):
+        # H: C +- A.B sums ell products onto a residue; R.T sums n products
+        if _raw_ok(ctx, max(n, ell + 1)):
             p = ctx.p
             Hd = _dense_rhs_raw(p, H)
             Z = _mul_right_raw(p, R.a, T)
@@ -216,6 +216,16 @@ def _trsm_ec_right(R, H, T, params):
     return rep
 
 
+def _raw_ok(ctx, terms):
+    """Whether a signed sum of `terms` products of residues fits in int64.
+
+    This is the exact-integer bound of the raw int64 paths below: each
+    product is at most (p-1)^2 in size, so terms * (p-1)^2 must not exceed
+    2^63 - 1.  A sum of residues counts as one more product.
+    """
+    return ctx.nu == 1 and not ctx._big and terms <= ctx._acc_limit
+
+
 def _dense_rhs_raw(p, H):
     """Evaluate a blackbox right-hand side with deferred reductions."""
     acc = H.C.a if H.C is not None else None
@@ -269,9 +279,12 @@ def _projected_gap(ctx, W, H, Ra, pending, T):
     else uses the context operations.
     """
     m, n = Ra.shape
-    fast = (ctx.nu == 1 and not ctx._big
-            and max(m, n, H.inner) <= ctx._acc_limit)
-    if fast:
+    # W C and a positive (W A) B add up before (W (R+E)) T and a negative
+    # (W A) B are taken away; W (R+E) adds m products onto a residue
+    ell = H.inner
+    up = (m if H.C is not None else 0) + (ell if H.sign > 0 else 0)
+    down = n + (ell if H.sign < 0 else 0)
+    if _raw_ok(ctx, max(m + 1, up, down)):
         p = ctx.p
         Wa = W
         acc = Wa @ H.C.a if H.C is not None else None

@@ -3,11 +3,17 @@
 import itertools
 
 import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from eclu.ff import PowTable, element_of_order_at_least, make_prime_field
+from eclu.ff import (PowTable, element_of_order_at_least, make_ext_field,
+                     make_prime_field)
 from eclu.mat import Mat
 from eclu.sparseint import (apply_vandermonde, batch_interpolate,
-                            berlekamp_massey, interpolate_column)
+                            berlekamp_massey, interpolate_column,
+                            vandermonde_cols)
 
 F7 = make_prime_field(7)
 F13 = make_prime_field(13)
@@ -144,3 +150,84 @@ def test_apply_vandermonde_matches_direct():
     V = np.array([[F13.spow(tab.theta, i * j) for j in range(m)]
                   for i in range(rows)], dtype=np.int64)
     assert np.array_equal(out, F13.matmul(V, M))
+
+
+# fields of the Vandermonde property tests: primes from GF(7) to the int64
+# edge (2^31 - 1 leaves room for 2 products per sum), one that takes the
+# object-dtype path, and an extension field
+KERNEL_FIELDS = [make_prime_field(7), make_prime_field(65537),
+                 make_prime_field(2 ** 29 - 3), make_prime_field(2 ** 31 - 1),
+                 make_prime_field(2 ** 61 - 1), make_ext_field(7, 3)]
+
+
+def explicit_vandermonde(ctx, tab, nrows, cols):
+    """V[i][t] = theta^(i * cols[t]) as Python ints, one spow per entry."""
+    return [[ctx.spow(tab.theta, i * j) for j in cols] for i in range(nrows)]
+
+
+def oracle_product(ctx, V, M):
+    """V.M entry by entry: Python ints mod p, or scalar ExtField ops."""
+    nrows, ncols = len(V), M.shape[1]
+    out = np.zeros((nrows, ncols), dtype=np.int64)
+    for i in range(nrows):
+        for c in range(ncols):
+            if ctx.nu == 1:
+                acc = sum(V[i][j] * int(M[j, c])
+                          for j in range(M.shape[0])) % ctx.p
+            else:
+                acc = 0
+                for j in range(M.shape[0]):
+                    acc = ctx.sadd(acc, ctx.smul(V[i][j], int(M[j, c])))
+            out[i, c] = acc
+    return out
+
+
+def assert_canonical(ctx, out):
+    assert out.dtype == np.int64
+    assert np.all((out >= 0) & (out < ctx.q))
+
+
+@st.composite
+def vandermonde_case(draw):
+    """(ctx, tab, nrows, m): m <= tab.m, and nrows 0, 1 or 2s."""
+    ctx = draw(st.sampled_from(KERNEL_FIELDS))
+    tab_m = draw(st.integers(1, min(ctx.q - 1, 24)))
+    m = draw(st.integers(0, tab_m))
+    s = draw(st.integers(1, 6))
+    nrows = draw(st.sampled_from([0, 1, 2 * s]))
+    return ctx, element_of_order_at_least(ctx, tab_m), nrows, m
+
+
+@given(case=vandermonde_case(), data=st.data())
+def test_apply_vandermonde_property(case, data):
+    ctx, tab, nrows, m = case
+    ncols = data.draw(st.integers(0, 4))
+    M = data.draw(arrays(np.int64, (m, ncols),
+                         elements=st.integers(0, ctx.q - 1)))
+    M[data.draw(arrays(np.bool_, m))] = 0  # all-zero rows
+    if data.draw(st.booleans()):
+        M[...] = 0
+    out = apply_vandermonde(ctx, tab, nrows, M)
+    V = explicit_vandermonde(ctx, tab, nrows, range(m))
+    assert out.shape == (nrows, ncols)
+    assert np.array_equal(out, oracle_product(ctx, V, M))
+    assert_canonical(ctx, out)
+    wrapped = apply_vandermonde(ctx, tab, nrows, Mat(ctx, M))
+    assert isinstance(wrapped, Mat) and np.array_equal(wrapped.a, out)
+
+
+@given(case=vandermonde_case(), data=st.data())
+def test_vandermonde_cols_property(case, data):
+    ctx, tab, nrows, _ = case
+    cols = data.draw(st.lists(st.integers(0, tab.m - 1), max_size=6))
+    out = vandermonde_cols(ctx, tab, nrows, np.array(cols, dtype=np.intp))
+    V = explicit_vandermonde(ctx, tab, nrows, cols)
+    assert out.shape == (nrows, len(cols))
+    assert np.array_equal(out, np.array(V, dtype=np.int64).reshape(out.shape))
+    assert_canonical(ctx, out)
+
+
+def test_apply_vandermonde_rejects_rows_beyond_table():
+    tab = element_of_order_at_least(F13, 4)
+    with pytest.raises(ValueError):
+        apply_vandermonde(F13, tab, 2, np.ones((5, 1), dtype=np.int64))

@@ -8,9 +8,9 @@ import pytest
 from eclu.blackbox import BlackboxRHS
 from eclu.ff import make_prime_field
 from eclu.mat import Mat, Tri, multiply
-from eclu.trsmec import (TrsmEcParams, freivalds_lambda, trsm_ec_lower_left,
-                         trsm_ec_lower_right, trsm_ec_upper_left,
-                         trsm_ec_upper_right)
+from eclu.trsmec import (TrsmEcParams, _projected_gap, freivalds_lambda,
+                         trsm_ec_lower_left, trsm_ec_lower_right,
+                         trsm_ec_upper_left, trsm_ec_upper_right)
 
 F7 = make_prime_field(7)
 FBIG = make_prime_field(65537)
@@ -181,3 +181,23 @@ def test_result_satisfies_equation_densely():
         trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=20 + trial))
         assert np.array_equal(multiply(Mat(F7, R.a), U.dense()).a,
                               H.dense().a)
+
+
+def test_projected_gap_no_int64_overflow():
+    # p = 2^29 - 3 allows 32 products of residues per int64 sum; W C and a
+    # positive (W A) B together sum 64, which must not take the raw path
+    ctx = make_prime_field(2 ** 29 - 3)
+    assert ctx._acc_limit == 32
+    n = 32
+    rng = np.random.default_rng(0)
+
+    def full():
+        return Mat(ctx, np.full((n, n), ctx.p - 1, dtype=np.int64))
+
+    H = BlackboxRHS(C=full(), A=full(), B=full(), sign=+1)
+    U = rand_tri(ctx, n, "upper", rng)
+    R = H.dense().a.copy()
+    U.solve_right(R)  # exact: R U = H
+    for _ in range(200):
+        W = ctx.rand(rng, (1, n))
+        assert not _projected_gap(ctx, W, H, R, {}, U).any()
