@@ -100,6 +100,18 @@ class BlackboxRHS:
             acc = ctx.sub(acc, prod) if self.sign < 0 else ctx.add(acc, prod)
         return Mat(ctx, acc)
 
+    def canonical(self):
+        """The same right-hand side over operands with codes in [0, q).
+
+        An out-of-range operand is replaced by a reduced copy; the caller's
+        arrays are never written.
+        """
+        def red(M):
+            return None if M is None else Mat(self.ctx, self.ctx.canonical(M.a))
+
+        return BlackboxRHS(C=red(self.C), A=red(self.A), B=red(self.B),
+                           sign=self.sign, ctx=self.ctx)
+
     def lift(self, big, base):
         """Reinterpret all operands in the extension field `big`."""
         from .ff import embed_up

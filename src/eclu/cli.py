@@ -13,7 +13,6 @@ loop gave up, 3 when the deterministic post-check failed.
 import argparse
 import sys
 
-from . import mat
 from .harness import WORKLOADS, Scenario, bench_lu, correct, gen, verify
 from .trsmec import MonteCarloFailure
 
@@ -56,7 +55,6 @@ def build_parser():
     c.add_argument("--verify", action="store_true",
                    help="run the deterministic post-check and gate the "
                         "exit code on it")
-    c.add_argument("--strassen-threshold", type=int, default=None)
 
     v = sub.add_parser("verify", help="check the identity for a directory")
     v.add_argument("--out", required=True, metavar="DIR")
@@ -86,8 +84,6 @@ def main(argv=None):
         return 0
 
     if args.cmd == "correct":
-        if args.strassen_threshold is not None:
-            mat.STRASSEN_THRESHOLD = args.strassen_threshold
         try:
             rep, verified = correct(args.out, eps=args.epsilon,
                                     seed=args.seed,

@@ -7,14 +7,15 @@ error-correcting variant replace the two inner triangular solves by
 blackbox corrections without ever forming an intermediate product.
 """
 
+import time
+
 import numpy as np
 
 from .blackbox import BlackboxRHS
-from .mat import DimensionError, Mat, PackedLU, Tri, _strassen
+from .mat import DimensionError, Mat, PackedLU, Tri
 from .report import CorrectionReport
-from . import ff
 from .trsmec import (TrsmEcParams, freivalds_lambda, trsm_ec_lower_left,
-                     trsm_ec_upper_right, _masked_arr)
+                     trsm_ec_upper_right)
 
 
 class GrpViolation(ValueError):
@@ -26,7 +27,7 @@ class _RankStop(Exception):
         self.rank = rank
 
 
-def crout_reference(A, threshold=None, leaf_size=1):
+def crout_reference(A):
     """Exact LU factorization of an invertible GRP matrix.
 
     Returns a PackedLU with extract_L() . extract_U() == A.
@@ -35,54 +36,33 @@ def crout_reference(A, threshold=None, leaf_size=1):
         raise DimensionError("square matrix required")
     n = A.rows
     M = Mat.zeros(A.ctx, n, n)
-    _crout(A.ctx, M.a, A.a, 0, n, threshold, max(1, leaf_size))
+    _crout(A.ctx, M.a, A.a, 0, n)
     return PackedLU(M)
 
 
-def _crout(ctx, M, A, n1, nrest, th, leaf):
+def _crout(ctx, M, A, n1, nrest):
     if nrest == 0:
         return
-    if nrest <= leaf:
-        _crout_leaf(ctx, M, A, n1, nrest)
+    if nrest == 1:
+        piv = ctx.ssub(int(A[n1, n1]), ctx.dot(M[n1, :n1], M[:n1, n1]))
+        if piv == 0:
+            raise GrpViolation("zero pivot at index %d" % n1)
+        M[n1, n1] = piv
         return
     n2 = (nrest + 1) // 2
     n3 = nrest - n2
-    _crout(ctx, M, A, n1, n2, th, leaf)
+    _crout(ctx, M, A, n1, n2)
     r1 = slice(0, n1)
     r2 = slice(n1, n1 + n2)
     r3 = slice(n1 + n2, n1 + nrest)
-    M[r2, r3] = ctx.sub(A[r2, r3], _strassen(ctx, M[r2, r1], M[r1, r3],
-                                             _th(th)))
+    M[r2, r3] = ctx.sub(A[r2, r3], ctx.matmul(M[r2, r1], M[r1, r3]))
     Tri(Mat(ctx, M[r2, r2]), "lower", unit=True).solve_left(M[r2, r3])
-    M[r3, r2] = ctx.sub(A[r3, r2], _strassen(ctx, M[r3, r1], M[r1, r2],
-                                             _th(th)))
+    M[r3, r2] = ctx.sub(A[r3, r2], ctx.matmul(M[r3, r1], M[r1, r2]))
     Tri(Mat(ctx, M[r2, r2]), "upper").solve_right(M[r3, r2])
-    _crout(ctx, M, A, n1 + n2, n3, th, leaf)
+    _crout(ctx, M, A, n1 + n2, n3)
 
 
-def _th(threshold):
-    from . import mat
-    return mat.STRASSEN_THRESHOLD if threshold is None else threshold
-
-
-def _crout_leaf(ctx, M, A, n1, nrest):
-    # iterated 1x1 base case: pivot by dot product, strips by substitution
-    for i in range(n1, n1 + nrest):
-        piv = ctx.ssub(int(A[i, i]), ctx.dot(M[i, :i], M[:i, i]))
-        if piv == 0:
-            raise GrpViolation("zero pivot at index %d" % i)
-        M[i, i] = piv
-        end = n1 + nrest
-        if i + 1 < end:
-            M[i, i + 1:end] = ctx.sub(A[i, i + 1:end],
-                                      ctx.matmul(M[i:i + 1, :i],
-                                                 M[:i, i + 1:end])[0])
-            col = ctx.sub(A[i + 1:end, i],
-                          ctx.matmul(M[i + 1:end, :i], M[:i, i:i + 1])[:, 0])
-            M[i + 1:end, i] = ctx.mul(col, ctx.sinv(piv))
-
-
-def crout_ec(packed, A, params, threshold=None, trace=None):
+def crout_ec(packed, A, params, trace=None):
     """Correct a candidate LU factorization of A in place.
 
     packed holds the (possibly erroneous) L below the diagonal and U on and
@@ -98,14 +78,17 @@ def crout_ec(packed, A, params, threshold=None, trace=None):
         raise DimensionError("candidate and input sizes disagree")
     rep = CorrectionReport(stage="croutec", epsilon=params.eps,
                            seed=params.seed)
-    _crout_ec(A.ctx, packed.mat.a, A.a, 0, A.rows, params.eps, params, rep,
-              rank_mode=False, threshold=threshold, trace=trace, depth=0)
+    ctx = A.ctx
+    # the candidate is reduced in place, the input through a reduced copy
+    ctx.canonical(packed.mat.a, in_place=True)
+    _crout_ec(ctx, packed.mat.a, ctx.canonical(A.a), 0, A.rows, params.eps,
+              params, rep, rank_mode=False, trace=trace, depth=0)
     rep.verified = all(c.verified for c in rep.children) if rep.children else True
     return packed, rep
 
 
-def _crout_ec(ctx, M, A, n1, nrest, eps, params, rep, rank_mode,
-              threshold, trace, depth):
+def _crout_ec(ctx, M, A, n1, nrest, eps, params, rep, rank_mode, trace,
+              depth):
     if nrest == 0:
         return
     if nrest == 1:
@@ -117,25 +100,22 @@ def _crout_ec(ctx, M, A, n1, nrest, eps, params, rep, rank_mode,
             raise GrpViolation("zero pivot at index %d" % i)
         M[i, i] = piv  # recomputed from scratch: the diagonal must be correct
         return
-    if (nrest <= _BLOCK_CHECK and trace is None and ctx.nu == 1
-            and not ctx._big and max(n1, nrest) <= ctx._acc_limit):
+    if nrest <= _BLOCK_CHECK and trace is None:
         sub = _dense_block(ctx, M, A, n1, nrest, eps)
         if sub is not None:
             rep.add_child(sub)
             return
     n2 = (nrest + 1) // 2
     n3 = nrest - n2
-    _crout_ec(ctx, M, A, n1, n2, eps / 4, params, rep, rank_mode,
-              threshold, trace, depth + 1)
+    _crout_ec(ctx, M, A, n1, n2, eps / 4, params, rep, rank_mode, trace,
+              depth + 1)
     r1 = slice(0, n1)
     r2 = slice(n1, n1 + n2)
     r3 = slice(n1 + n2, n1 + nrest)
-    # narrow strips that the triangular corrector would handle densely are
-    # checked here on raw arrays, skipping the operand wrapping entirely
+    # narrow strips that the triangular corrector would check densely are
+    # checked here, skipping the operand wrapping
     lam0 = freivalds_lambda(ctx.q, n2, eps / 4)
-    fast = (ctx.nu == 1 and not ctx._big
-            and max(n1, n2) <= ctx._acc_limit
-            and n3 * n2 * (n1 + n2)
+    fast = (n3 * n2 * (n1 + n2)
             <= lam0 * (n3 * n2 + n2 * n2 + n1 * (n3 + n2)))
     if trace is not None:
         trace.append((depth, "u_strip", n1, n1 + n2, n1 + n2, n1 + nrest))
@@ -161,7 +141,7 @@ def _crout_ec(ctx, M, A, n1, nrest, eps, params, rep, rank_mode,
                                   params.child(eps / 4))
     rep.add_child(sub)
     _crout_ec(ctx, M, A, n1 + n2, n3, eps / 4, params, rep, rank_mode,
-              threshold, trace, depth + 1)
+              trace, depth + 1)
 
 
 # subtree size up to which a clean block is confirmed by one dense check
@@ -177,54 +157,50 @@ def _dense_block(ctx, M, A, n1, ns, eps):
     uniquely.  Returns None (caller recurses normally) on any mismatch, on
     a zero diagonal entry, or in general whenever the block needs work.
     """
+    t0 = time.perf_counter()
     s = slice(n1, n1 + ns)
-    Ms = M[s, s]
-    if not Ms.diagonal().all():
+    Ms = Mat(ctx, M[s, s])
+    if not Ms.a.diagonal().all():
         return None
-    p = ctx.p
-    B = (A[s, s] - M[s, :n1] @ M[:n1, s]) % p
-    Uu = _masked_arr(Ms, "upper", False)
-    Z = (_masked_arr(Ms, "lower", True) @ Uu + Uu) % p
-    ff._bump(ns * ns * (n1 + ns))
-    if not np.array_equal(Z, B):
+    B = ctx.sub(A[s, s], ctx.matmul(M[s, :n1], M[:n1, s]))
+    Lb = Tri(Ms, "lower", unit=True).dense().a
+    if not np.array_equal(Tri(Ms, "upper").mul_right(Lb), B):
         return None
-    sub = CorrectionReport(stage="dense_block", epsilon=eps)
-    sub.rounds = 1
-    sub.verified = True
-    sub.dense_verified = True
-    return sub
+    return _dense_report("dense_block", eps, t0)
 
 
 def _dense_strip(ctx, M, A, r1, r2, r3, which, eps):
-    """Raw-array check of one already-correct strip; None on any mismatch.
+    """Dense check of one already-correct strip; None on any mismatch.
 
-    Falls back to the full corrector (by returning None) as soon as the
-    strip disagrees with its defining equation, so only the clean case is
-    handled here.  The result is the same deterministic verification the
-    dense path of the triangular corrector performs.
+    which is "u" for the U strip (L22 . U23 = A23 - L21 . U13) and "l" for
+    the L strip (L32 . U22 = A32 - L31 . U12).  Falls back to the full
+    corrector (by returning None) as soon as the strip disagrees with its
+    defining equation, so only the clean case is handled here.  The result
+    is the same deterministic verification the dense path of the
+    triangular corrector performs.
     """
-    p = ctx.p
+    t0 = time.perf_counter()
+    D = Mat(ctx, M[r2, r2])
     if which == "u":
-        # L22 . U23 = A23 - L21 . U13
-        Hd = (A[r2, r3] - M[r2, r1] @ M[r1, r3]) % p
-        R = M[r2, r3]
-        Z = (_masked_arr(M[r2, r2], "lower", True) @ R + R) % p
+        H = ctx.sub(A[r2, r3], ctx.matmul(M[r2, r1], M[r1, r3]))
+        Z = ctx.matmul(Tri(D, "lower", unit=True).dense().a, M[r2, r3])
     else:
-        # L32 . U22 = A32 - L31 . U12; U22 must be invertible for R U22 = H
-        # to pin R down
-        if not M[r2, r2].diagonal().all():
+        # U22 must be invertible for R U22 = H to pin R down
+        if not D.a.diagonal().all():
             return None
-        Hd = (A[r3, r2] - M[r3, r1] @ M[r1, r2]) % p
-        R = M[r3, r2]
-        Z = (R @ _masked_arr(M[r2, r2], "upper", False)) % p
-    m, n = R.shape
-    ff._bump(m * n * (r1.stop + n))
-    if not np.array_equal(Z, Hd):
+        H = ctx.sub(A[r3, r2], ctx.matmul(M[r3, r1], M[r1, r2]))
+        Z = Tri(D, "upper").mul_right(M[r3, r2])
+    if not np.array_equal(Z, H):
         return None
-    sub = CorrectionReport(stage="trsmec_upper_right", epsilon=eps)
+    return _dense_report("dense_strip_" + which, eps, t0)
+
+
+def _dense_report(stage, eps, t0):
+    sub = CorrectionReport(stage=stage, epsilon=eps)
     sub.rounds = 1
     sub.verified = True
     sub.dense_verified = True
+    sub.wall_time = time.perf_counter() - t0
     return sub
 
 
@@ -285,12 +261,14 @@ def rank_deficient_ec(A, L_cand, U_cand, params):
     ru = min(r_hat, d)
     M[:ru, :] = np.triu(U_cand.a[:ru, :d])
     M[:, :ru] += np.tril(L_cand.a[:d, :ru], -1)
+    ctx.canonical(M, in_place=True)
+    A = Mat(ctx, ctx.canonical(A.a))
 
     sub = CorrectionReport(stage="croutec", epsilon=params.eps / 3)
     try:
         _crout_ec(ctx, M, A.a[:d, :d], 0, d, params.eps / 3,
                   params.child(params.eps / 3), sub, rank_mode=True,
-                  threshold=None, trace=None, depth=0)
+                  trace=None, depth=0)
         r = d
     except _RankStop as stop:
         r = stop.rank

@@ -17,6 +17,12 @@ import numpy as np
 
 _INT64_MAX = (1 << 63) - 1
 
+# PrimeField.matmul: multiply-adds up to which a direct int64 product beats
+# a BLAS call, and the row (or col) count up to which splitting one operand
+# beats splitting both; both measured on OpenBLAS with one thread
+_TINY = 1 << 13
+_NARROW = 8
+
 # global field-operation counter, used by the benchmark harness
 _OPS = 0
 
@@ -101,6 +107,17 @@ class FieldCtx:
     def zeros(self, shape):
         return np.zeros(shape, dtype=np.int64)
 
+    def canonical(self, a, in_place=False):
+        """The int64 array a with every code in [0, q).
+
+        Returns a itself when it already is; otherwise a reduced copy, or a
+        reduced in place when in_place is set.  The range check is one max
+        over a viewed as unsigned, where a negative code lies above q too.
+        """
+        if a.size == 0 or a.view(np.uint64).max() < self.q:
+            return a
+        return self._reduce(a, a if in_place else None)
+
     def eye(self, n):
         return np.eye(n, dtype=np.int64)
 
@@ -123,13 +140,18 @@ class PrimeField(FieldCtx):
         self.nu = 1
         self.q = int(p)
         self.modulus = None
-        # products of two residues overflow int64 once p >= 2^31; fall back
-        # to object (bignum) arithmetic in that regime
+        # a product of two residues overflows int64 once (p-1)^2 > 2^63 - 1
+        # (p > 3.04e9); mul falls back to object (bignum) arithmetic there
         self._big = (p - 1) ** 2 > _INT64_MAX
-        self._acc_limit = 1 if self._big else _INT64_MAX // max(1, (p - 1) ** 2)
+        # most products of residues an exact int64 / float64 sum can hold
+        self._int_terms = _INT64_MAX // (p - 1) ** 2
+        self._float_terms = (1 << 53) // (p - 1) ** 2
 
     def __repr__(self):
         return "GF(%d)" % self.p
+
+    def _reduce(self, a, out):
+        return np.remainder(a, self.p, out=out)
 
     def add(self, a, b):
         _bump(_sz(a))
@@ -175,22 +197,69 @@ class PrimeField(FieldCtx):
     sneg = neg
 
     def matmul(self, A, B):
+        """A.B mod p for residue arrays A (m-by-l) and B (l-by-n).
+
+        This is the one place where residues are multiplied.  A and B must
+        hold residues in [0, p); the result is a new int64 array of
+        residues.  The path depends on p and the shapes alone.  A product
+        of residues is at most (p-1)^2, and each path sums at most t such
+        terms before it reduces, with t fixed by an exact-integer bound:
+
+         - int64, t (p-1)^2 <= 2^63 - 1: the direct product, for tiny
+           products of at most _TINY multiply-adds;
+         - float64 BLAS, t (p-1)^2 <= 2^53: for p < 2^24, where t >= 32;
+         - 16-bit halves for 2^24 < p < 2^31, x = 2^16 xh + xl with
+           xh < 2^15 and xl < 2^16.  When one side of the product has at
+           most _NARROW rows (or cols), or the product is tiny, only the
+           operand with fewer entries is split: two int64 products with
+           terms below 2^47, so t = 2^16.  Otherwise both are split and
+           [Ah; Al].[Bh Bl] is one float64 product with terms below 2^32,
+           so t = 2^21;
+         - Python ints (object dtype) for p >= 2^31.
+
+        A longer inner dimension is cut into blocks of t, whose reduced
+        products are summed mod p.
+        """
         m, ell = A.shape
         n = B.shape[1]
         _bump(m * ell * n)
-        if ell == 0:
-            return np.zeros((m, n), dtype=np.int64)
-        if self._big:
+        tiny = m * ell * n <= _TINY
+        if tiny and ell <= self._int_terms:
+            return (A @ B) % self.p
+        if self.p >= 1 << 31:
             C = (A.astype(object) @ B.astype(object)) % self.p
             return C.astype(np.int64)
-        # keep accumulated sums inside int64
-        limit = self._acc_limit
-        if ell <= limit:
-            return (A @ B) % self.p
-        acc = np.zeros((m, n), dtype=np.int64)
-        for i in range(0, ell, limit):
-            acc = (acc + A[:, i:i + limit] @ B[i:i + limit, :]) % self.p
-        return acc
+        if self.p < 1 << 24:
+            kernel, t = self._mm_float, self._float_terms
+        elif tiny or min(m, n) <= _NARROW:
+            kernel, t = self._mm_split_one, 1 << 16
+        else:
+            kernel, t = self._mm_split_both, 1 << 21
+        C = kernel(A[:, :t], B[:t])
+        for i in range(t, ell, t):
+            C += kernel(A[:, i:i + t], B[i:i + t])
+            C %= self.p
+        return C
+
+    def _mm_float(self, A, B):
+        C = A.astype(np.float64) @ B.astype(np.float64)
+        return C.astype(np.int64) % self.p
+
+    def _mm_split_one(self, A, B):
+        if A.size > B.size:
+            return self._mm_split_one(B.T, A.T).T
+        p = self.p
+        return ((A >> 16) @ B % p * 65536 + (A & 0xFFFF) @ B % p) % p
+
+    def _mm_split_both(self, A, B):
+        m, n = A.shape[0], B.shape[1]
+        A2 = np.concatenate((A >> 16, A & 0xFFFF)).astype(np.float64)
+        B2 = np.concatenate((B >> 16, B & 0xFFFF), axis=1).astype(np.float64)
+        C = (A2 @ B2).astype(np.int64)
+        p = self.p
+        # 2^32 hh + 2^16 (hl + lh) + ll, each term kept below 2^62
+        return (C[:m, :n] % p * ((1 << 32) % p)
+                + (C[:m, n:] + C[m:, :n]) % p * 65536 + C[m:, n:]) % p
 
     def dot(self, a, b):
         return int(self.matmul(a.reshape(1, -1), b.reshape(-1, 1))[0, 0])
@@ -254,6 +323,9 @@ class ExtField(FieldCtx):
 
     def _pack(self, d):
         return (d * self._pw).sum(axis=-1)
+
+    def _reduce(self, a, out):
+        raise FieldError("codes of %r must lie in [0, %d)" % (self, self.q))
 
     # -- arithmetic --------------------------------------------------------
 

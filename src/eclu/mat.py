@@ -8,10 +8,6 @@ masks the opposite triangle (needed when L and U share one packed buffer).
 
 import numpy as np
 
-from . import ff
-
-STRASSEN_THRESHOLD = 64
-
 
 class DimensionError(ValueError):
     pass
@@ -75,8 +71,8 @@ class Mat:
     def __repr__(self):
         return "Mat(%r, %r)" % (self.ctx, self.a.tolist())
 
-    def multiply(self, other, threshold=None):
-        return multiply(self, other, threshold=threshold)
+    def multiply(self, other):
+        return multiply(self, other)
 
     def add(self, other):
         return Mat(self.ctx, self.ctx.add(self.a, other.a))
@@ -85,55 +81,14 @@ class Mat:
         return Mat(self.ctx, self.ctx.sub(self.a, other.a))
 
 
-def multiply(A, B, threshold=None):
-    """Exact product; Strassen above `threshold` (default 64), classical below."""
+def multiply(A, B):
+    """Exact product A.B over the operands' field."""
     if A.cols != B.rows:
         raise DimensionError("inner dimensions %d and %d disagree"
                              % (A.cols, B.rows))
     if A.ctx != B.ctx:
         raise DimensionError("operands live in different fields")
-    th = STRASSEN_THRESHOLD if threshold is None else threshold
-    return Mat(A.ctx, _strassen(A.ctx, A.a, B.a, th))
-
-
-def _strassen(ctx, A, B, th):
-    m, ell = A.shape
-    n = B.shape[1]
-    if min(m, ell, n) <= th:
-        return ctx.matmul(A, B)
-    # peel odd trailing row/col/inner so the even core splits cleanly
-    if m % 2:
-        C = np.empty((m, n), dtype=np.int64)
-        C[:m - 1] = _strassen(ctx, A[:m - 1], B, th)
-        C[m - 1:] = ctx.matmul(A[m - 1:], B)
-        return C
-    if n % 2:
-        C = np.empty((m, n), dtype=np.int64)
-        C[:, :n - 1] = _strassen(ctx, A, B[:, :n - 1], th)
-        C[:, n - 1:] = ctx.matmul(A, B[:, n - 1:])
-        return C
-    if ell % 2:
-        C = _strassen(ctx, A[:, :ell - 1], B[:ell - 1], th)
-        return ctx.add(C, ctx.matmul(A[:, ell - 1:], B[ell - 1:]))
-    m2, l2, n2 = m // 2, ell // 2, n // 2
-    A11, A12 = A[:m2, :l2], A[:m2, l2:]
-    A21, A22 = A[m2:, :l2], A[m2:, l2:]
-    B11, B12 = B[:l2, :n2], B[:l2, n2:]
-    B21, B22 = B[l2:, :n2], B[l2:, n2:]
-    add, sub = ctx.add, ctx.sub
-    M1 = _strassen(ctx, add(A11, A22), add(B11, B22), th)
-    M2 = _strassen(ctx, add(A21, A22), B11, th)
-    M3 = _strassen(ctx, A11, sub(B12, B22), th)
-    M4 = _strassen(ctx, A22, sub(B21, B11), th)
-    M5 = _strassen(ctx, add(A11, A12), B22, th)
-    M6 = _strassen(ctx, sub(A21, A11), add(B11, B12), th)
-    M7 = _strassen(ctx, sub(A12, A22), add(B21, B22), th)
-    C = np.empty((m, n), dtype=np.int64)
-    C[:m2, :n2] = add(sub(add(M1, M4), M5), M7)
-    C[:m2, n2:] = add(M3, M5)
-    C[m2:, :n2] = add(M2, M4)
-    C[m2:, n2:] = add(add(sub(M1, M2), M3), M6)
-    return C
+    return Mat(A.ctx, A.ctx.matmul(A.a, B.a))
 
 
 def nnz(M):
@@ -218,7 +173,7 @@ class Tri:
         """Materialize as a full Mat (masking the other triangle)."""
         out = np.triu(self.a) if self.kind == "upper" else np.tril(self.a)
         if self.unit:
-            out = out - np.diag(np.diagonal(out)) + np.eye(self.n, dtype=np.int64)
+            np.fill_diagonal(out, 1)
         return Mat(self.ctx, out)
 
     def mul_right(self, Y):
@@ -372,8 +327,8 @@ class PackedLU:
     def extract_U(self):
         return Mat(self.ctx, np.triu(self.mat.a))
 
-    def rebuild(self, threshold=None):
-        return multiply(self.extract_L(), self.extract_U(), threshold=threshold)
+    def rebuild(self):
+        return multiply(self.extract_L(), self.extract_U())
 
     def lower_tri(self):
         return Tri(self.mat, "lower", unit=True)

@@ -57,20 +57,21 @@ def solve_small_rhs(bundle, params=None):
     _check_shapes(bundle.A, bundle.B, bundle.lu_candidate)
     rep = CorrectionReport(stage="solve_small_rhs", epsilon=params.eps,
                            seed=params.seed)
+    B = _canonical_rhs(bundle)
     packed, sub = crout_ec(bundle.lu_candidate, bundle.A,
                            params.child(params.eps / 3))
     rep.add_child(sub)
-    m, n = bundle.B.shape
+    m, n = B.shape
     if m <= small_m_cutoff(n):
         # few rows: cheaper to back-solve from the corrected factors than to
         # correct the candidates
-        X = bundle.B.copy()
+        X = B.copy()
         packed.upper_tri().solve_right(X)
         packed.lower_tri().solve_right(X)
         rep.verified = sub.verified
         return X, rep
     rep.add_child(trsm_ec_upper_right(bundle.Y_candidate,
-                                      BlackboxRHS(C=bundle.B),
+                                      BlackboxRHS(C=B),
                                       packed.upper_tri(),
                                       params.child(params.eps / 3)))
     rep.add_child(trsm_ec_lower_right(bundle.X_candidate,
@@ -90,13 +91,14 @@ def solve_large_rhs(bundle, params=None):
         raise DimensionError("inverse candidate must be n-by-n")
     rep = CorrectionReport(stage="solve_large_rhs", epsilon=params.eps,
                            seed=params.seed)
+    B = _canonical_rhs(bundle)
     packed, sub = crout_ec(bundle.lu_candidate, bundle.A,
                            params.child(params.eps / 3))
     rep.add_child(sub)
     rep.add_child(tr_inv_ec(bundle.Rinv_candidate, packed.upper_tri(),
                             params.child(params.eps / 3)))
     # X.L = B.R, with the product right-hand side left unevaluated
-    H = BlackboxRHS(A=bundle.B, B=bundle.Rinv_candidate, sign=+1)
+    H = BlackboxRHS(A=B, B=bundle.Rinv_candidate, sign=+1)
     rep.add_child(trsm_ec_lower_right(bundle.X_candidate, H,
                                       packed.lower_tri(),
                                       params.child(params.eps / 3)))
@@ -120,6 +122,9 @@ def tr_inv_ec(R, U, params):
     n = U.n
     if R.shape != (n, n):
         raise DimensionError("candidate inverse must match U")
+    # the candidate is reduced in place, the input through a reduced copy
+    R.ctx.canonical(R.a, in_place=True)
+    U = U.with_ctx(U.ctx, R.ctx.canonical(U.a))
     rep = CorrectionReport(stage="tr_inv_ec", epsilon=params.eps,
                            seed=params.seed)
     if n == 0:
@@ -209,6 +214,12 @@ def _params(eps, params):
         params = TrsmEcParams(params.eps, seed=params.seed,
                                rng=params.generator())
     return params
+
+
+def _canonical_rhs(bundle):
+    """B with codes in [0, q); the candidates are reduced by the correctors."""
+    ctx = bundle.B.ctx
+    return Mat(ctx, ctx.canonical(bundle.B.a))
 
 
 def _check_shapes(A, B, packed):

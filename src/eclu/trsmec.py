@@ -105,6 +105,10 @@ def _trsm_ec_right(R, H, T, params):
     if T.n != n:
         raise DimensionError("triangle size %d does not match candidate cols %d"
                              % (T.n, n))
+    # the candidate is reduced in place, the inputs through reduced copies
+    R.ctx.canonical(R.a, in_place=True)
+    H = H.canonical()
+    T = T.with_ctx(T.ctx, R.ctx.canonical(T.a))
     rep = CorrectionReport(stage="trsmec_%s_right" % T.kind,
                            epsilon=params.eps, seed=params.seed)
     if m == 0 or n == 0:
@@ -118,16 +122,8 @@ def _trsm_ec_right(R, H, T, params):
     if m * n * (ell + n) <= lam0 * (m * n + n * n + ell * (m + n)):
         # narrow system: evaluating H densely and checking R T = H costs no
         # more than one projection round, so correct deterministically
-        ctx = R.ctx
-        # H: C +- A.B sums ell products onto a residue; R.T sums n products
-        if _raw_ok(ctx, max(n, ell + 1)):
-            p = ctx.p
-            Hd = _dense_rhs_raw(p, H)
-            Z = _mul_right_raw(p, R.a, T)
-            ff._bump(m * n * (ell + n))
-        else:
-            Hd = H.dense().a
-            Z = T.mul_right(R.a)
+        Hd = H.dense().a
+        Z = T.mul_right(R.a)
         rep.rounds = 1
         if not np.array_equal(Z, Hd):
             X = Hd.copy()
@@ -216,94 +212,8 @@ def _trsm_ec_right(R, H, T, params):
     return rep
 
 
-def _raw_ok(ctx, terms):
-    """Whether a signed sum of `terms` products of residues fits in int64.
-
-    This is the exact-integer bound of the raw int64 paths below: each
-    product is at most (p-1)^2 in size, so terms * (p-1)^2 must not exceed
-    2^63 - 1.  A sum of residues counts as one more product.
-    """
-    return ctx.nu == 1 and not ctx._big and terms <= ctx._acc_limit
-
-
-def _dense_rhs_raw(p, H):
-    """Evaluate a blackbox right-hand side with deferred reductions."""
-    acc = H.C.a if H.C is not None else None
-    if H.A is not None:
-        prod = H.A.a @ H.B.a
-        if H.sign < 0:
-            acc = -prod if acc is None else acc - prod
-        else:
-            acc = prod if acc is None else acc + prod
-    return acc % p
-
-
-def _masked_triangle(T):
-    """T's own triangle as a dense array, strict when T is unit."""
-    return _masked_arr(T.a, T.kind, T.unit)
-
-
-def _masked_arr(Ta, kind, unit):
-    n = Ta.shape[0]
-    if n <= 16:
-        # np.tril/np.triu build index grids; plain slice zeroing is cheaper
-        # at the sizes the recursion produces here
-        M = Ta.copy()
-        if kind == "lower":
-            d = 0 if unit else 1
-            for i in range(n):
-                M[i, i + d:] = 0
-        else:
-            d = 1 if unit else 0
-            for i in range(n):
-                M[i, :i + d] = 0
-        return M
-    if kind == "lower":
-        return np.tril(Ta, -1) if unit else np.tril(Ta)
-    return np.triu(Ta, 1) if unit else np.triu(Ta)
-
-
-def _mul_right_raw(p, Y, T):
-    """Y T with the other triangle of T masked off, deferred reductions."""
-    Z = Y @ _masked_triangle(T)
-    if T.unit:
-        Z = Z + Y
-    return Z % p
-
-
 def _projected_gap(ctx, W, H, Ra, pending, T):
-    """W H - (W (R+E)) T, reduced mod the field.
-
-    Prime fields small enough to defer reductions go through raw integer
-    matmuls (the dominant cost of clean verification rounds); everything
-    else uses the context operations.
-    """
-    m, n = Ra.shape
-    # W C and a positive (W A) B add up before (W (R+E)) T and a negative
-    # (W A) B are taken away; W (R+E) adds m products onto a residue
-    ell = H.inner
-    up = (m if H.C is not None else 0) + (ell if H.sign > 0 else 0)
-    down = n + (ell if H.sign < 0 else 0)
-    if _raw_ok(ctx, max(m + 1, up, down)):
-        p = ctx.p
-        Wa = W
-        acc = Wa @ H.C.a if H.C is not None else None
-        if H.A is not None:
-            prod = ((Wa @ H.A.a) % p) @ H.B.a
-            if H.sign < 0:
-                acc = -prod if acc is None else acc - prod
-            else:
-                acc = prod if acc is None else acc + prod
-        WR = (Wa @ Ra) % p
-        for j, (ri, rv) in pending.items():
-            WR[:, j] = (WR[:, j] + Wa[:, ri] @ rv) % p
-        Z = WR @ _masked_triangle(T)
-        if T.unit:
-            Z = Z + WR
-        lam = W.shape[0]
-        ff._bump(lam * (m * n + n * n
-                        + (H.inner * (m + n) if H.A is not None else 0)))
-        return (acc - Z) % p
+    """W H - (W (R+E)) T, reduced mod the field."""
     X0 = H.project_left(Mat(ctx, W)).a
     WR = ctx.matmul(W, Ra)
     for j, (ri, rv) in pending.items():

@@ -191,3 +191,80 @@ def test_rankdef_random_suite(r):
                                          TrsmEcParams(0.05, seed=trial))
         assert rd == r
         assert np.array_equal(multiply(L, U).a, A.a)
+
+
+def shift_out_of_range(ctx, a, rng, k=4):
+    """Add p to k entries of a and subtract p from k others, in place."""
+    flat = rng.choice(a.size, size=2 * k, replace=False)
+    a.flat[flat[:k]] += ctx.p
+    a.flat[flat[k:]] -= ctx.p
+
+
+@pytest.mark.parametrize("p", [65537, 2 ** 31 - 1])
+def test_croutec_reduces_unreduced_entries(p):
+    # entries a + p and a - p hold the right residue outside [0, p): the
+    # candidate comes back reduced, and the input is read as reduced but
+    # left as it was
+    ctx = make_prime_field(p)
+    rng = np.random.default_rng(6)
+    A, L0, U0 = make_grp_instance(ctx, 40, rng)
+    truth = PackedLU.pack(L0, U0).mat.a
+    P = PackedLU.pack(L0.copy(), U0.copy())
+    shift_out_of_range(ctx, P.mat.a, rng)
+    A_in = A.copy()
+    shift_out_of_range(ctx, A_in.a, rng)
+    before = A_in.a.copy()
+    _, rep = crout_ec(P, A_in, TrsmEcParams(0.05, seed=1))
+    assert rep.verified and np.array_equal(P.mat.a, truth)
+    assert np.array_equal(A_in.a, before)
+
+
+@pytest.mark.parametrize("p", [65537, 2 ** 31 - 1])
+def test_rect_and_rankdef_reduce_unreduced_entries(p):
+    ctx = make_prime_field(p)
+    rng = np.random.default_rng(7)
+    A, L0, U0 = make_grp_instance(ctx, (16, 24), rng)
+    P = PackedLU.pack(Mat(ctx, L0.a[:, :16]), Mat(ctx, U0.a[:, :16]))
+    U2 = Mat(ctx, U0.a[:, 16:].copy())
+    shift_out_of_range(ctx, P.mat.a, rng)
+    shift_out_of_range(ctx, U2.a, rng)
+    A_in = A.copy()
+    shift_out_of_range(ctx, A_in.a, rng)
+    rect_ec(A_in, P, U2, TrsmEcParams(0.05, seed=2))
+    assert np.array_equal(P.extract_L().a, L0.a[:, :16])
+    assert np.array_equal(np.hstack([P.extract_U().a, U2.a]), U0.a)
+
+    A, L0, U0 = make_grp_instance(ctx, (16, 24), rng, rank=10)
+    Lc, Uc = L0.copy(), U0.copy()
+    shift_out_of_range(ctx, Lc.a, rng)
+    shift_out_of_range(ctx, Uc.a, rng)
+    A_in = A.copy()
+    shift_out_of_range(ctx, A_in.a, rng)
+    r, L, U, _ = rank_deficient_ec(A_in, Lc, Uc, TrsmEcParams(0.05, seed=3))
+    assert r == 10
+    assert np.array_equal(L.a, L0.a) and np.array_equal(U.a, U0.a)
+
+
+def test_croutec_report_leaves_named_and_timed():
+    # clean n = 64: each leaf is a dense block check or a projection check
+    # of a strip, and each one reports its own time
+    rng = np.random.default_rng(8)
+    A, L0, U0 = make_grp_instance(FBIG, 64, rng)
+    _, rep = crout_ec(PackedLU.pack(L0, U0), A, TrsmEcParams(0.05, seed=1))
+    leaves = list(rep.iter_leaves())
+    assert all(leaf.wall_time > 0 for leaf in leaves)
+    assert {leaf.stage for leaf in leaves if leaf.dense_verified} == {
+        "dense_block"}
+    assert {leaf.stage for leaf in leaves if not leaf.dense_verified} == {
+        "trsmec_upper_right"}
+    # an error on U's diagonal takes the recursion down to narrow strips,
+    # which are checked densely; the U strip and the L strip are named apart
+    A, L0, U0 = make_grp_instance(FBIG, 32, rng)
+    P = PackedLU.pack(L0.copy(), U0.copy())
+    P.mat.a[3, 3] = FBIG.sadd(int(P.mat.a[3, 3]), 1)
+    _, rep = crout_ec(P, A, TrsmEcParams(0.05, seed=1))
+    assert np.array_equal(P.mat.a, PackedLU.pack(L0, U0).mat.a)
+    dense = [leaf for leaf in rep.iter_leaves() if leaf.dense_verified]
+    assert {leaf.stage for leaf in dense} == {
+        "dense_block", "dense_strip_u", "dense_strip_l"}
+    assert all(leaf.wall_time > 0 for leaf in dense)

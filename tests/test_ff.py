@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eclu import ff
 from eclu.ff import (FieldError, PowTable, element_of_order_at_least,
@@ -200,3 +202,95 @@ def test_op_counter_moves():
     A = ctx.rand(rng, (10, 10))
     ctx.matmul(A, A)
     assert ff.op_count() > before
+
+
+# a prime on each side of the thresholds of PrimeField.matmul on p: 2^24
+# (float64 blocks below, 16-bit halves above) and 2^31 (Python ints above)
+KERNEL_PRIMES = [2, 7, 2 ** 16 + 1, 2 ** 24 - 3, 2 ** 24 + 43, 2 ** 29 - 3,
+                 2 ** 31 - 1, 2 ** 31 + 11, 2 ** 61 - 1]
+
+
+def int_matmul(A, B, p):
+    """A.B mod p in Python ints, one entry at a time."""
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            out[i, j] = sum(int(a) * int(b) for a, b in zip(A[i], B[:, j])) % p
+    return out
+
+
+def operand(rng, p, shape, fill, layout):
+    """Residues of the given shape, laid out as the Crout recursion passes
+    them: C order, the transpose of a C-order array, or a strided view."""
+    m, n = shape
+    store = {"plain": (m, n), "transposed": (n, m),
+             "strided": (2 * m + 1, 3 * n + 2)}[layout]
+    a = (np.full(store, p - 1, dtype=np.int64) if fill == "max"
+         else rng.integers(0, p, store, dtype=np.int64))
+    if layout == "transposed":
+        return a.T
+    if layout == "strided":
+        return a[1::2, 2::3]
+    return a
+
+
+def check_matmul(p, A, B):
+    C = make_prime_field(p).matmul(A, B)
+    assert C.dtype == np.int64 and C.shape == (A.shape[0], B.shape[1])
+    assert C.size == 0 or (C.min() >= 0 and C.max() < p)
+    assert np.array_equal(C, int_matmul(A, B, p))
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@given(data=st.data())
+def test_matmul_matches_int_oracle(p, data):
+    # sizes on each side of the kernel's shape thresholds, and in between
+    side = st.one_of(st.sampled_from([0, 1, 8, 9, 24]), st.integers(0, 24))
+    m, n = data.draw(side), data.draw(side)
+    ell = data.draw(st.one_of(st.sampled_from([0, 1, 2, 32, 33, 100]),
+                              st.integers(0, 100)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    fill = data.draw(st.sampled_from(["random", "max"]))
+    layouts = st.sampled_from(["plain", "transposed", "strided"])
+    A = operand(rng, p, (m, ell), fill, data.draw(layouts))
+    B = operand(rng, p, (ell, n), fill, data.draw(layouts))
+    check_matmul(p, A, B)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@pytest.mark.parametrize("m,ell,n", [
+    (3, 0, 4), (5, 1, 7), (2, 2, 2), (1, 100, 24), (24, 100, 1),
+    (8, 100, 24), (12, 57, 12), (24, 100, 24),
+])
+def test_matmul_all_max_residues(p, m, ell, n):
+    # (p-1)^2 terms are the largest each exact sum has to hold
+    rng = np.random.default_rng(0)
+    check_matmul(p, operand(rng, p, (m, ell), "max", "plain"),
+                 operand(rng, p, (ell, n), "max", "strided"))
+
+
+@pytest.mark.parametrize("p", [2 ** 24 - 3, 2 ** 29 - 3, 2 ** 31 - 1])
+def test_matmul_inner_dimension_beyond_one_block(p):
+    # 70000 inner terms span 2188 float64 blocks of 32 at 2^24 - 3, and two
+    # int64 blocks of 2^16 for the 16-bit halves above 2^24
+    rng = np.random.default_rng(1)
+    for fill in ("max", "random"):
+        check_matmul(p, operand(rng, p, (1, 70000), fill, "plain"),
+                     operand(rng, p, (70000, 2), fill, "transposed"))
+
+
+def test_canonical_reduces_only_out_of_range_codes():
+    f = make_prime_field(65537)
+    a = np.array([[0, 65536], [1, 2]], dtype=np.int64)
+    assert f.canonical(a) is a
+    b = np.array([[65537 + 3, -1], [5, 2 * 65537]], dtype=np.int64)
+    red = f.canonical(b)
+    assert red.tolist() == [[3, 65536], [5, 0]]
+    assert b[0, 0] == 65540  # a copy unless in place is asked for
+    f.canonical(b.T, in_place=True)
+    assert b.tolist() == [[3, 65536], [5, 0]]
+    g = make_ext_field(7, 3)
+    with pytest.raises(FieldError):
+        g.canonical(np.array([0, -1], dtype=np.int64))
+    with pytest.raises(FieldError):
+        g.canonical(np.array([g.q], dtype=np.int64))

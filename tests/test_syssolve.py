@@ -177,3 +177,44 @@ def test_pipeline_epsilon_split():
     _, rep = solve_small_rhs(bundle, TrsmEcParams(0.3, seed=7))
     for child in rep.children:
         assert child.epsilon <= 0.1 + 1e-12
+
+
+@pytest.mark.parametrize("p", [65537, 2 ** 31 - 1])
+def test_unreduced_entries_are_reduced(p):
+    # candidate entries a + p and a - p come back reduced; inputs out of
+    # range are read as reduced and left as they were
+    ctx = make_prime_field(p)
+    rng = np.random.default_rng(9)
+
+    def shift(a):
+        a[0, -1] += p
+        a[-1, 0] -= p
+
+    U = rand_upper(ctx, 24, rng)
+    R = upper_inverse(ctx, U)
+    truth = R.a.copy()
+    shift(R.a)
+    U_in = Tri(Mat(ctx, U.a.copy()), "upper")
+    U_in.a[0, 3] += p
+    tr_inv_ec(R, U_in, TrsmEcParams(0.05, seed=1))
+    assert np.array_equal(R.a, truth)
+    assert U_in.a[0, 3] == U.a[0, 3] + p
+
+    for m, solve, make in ((1, solve_small_rhs, SmallRhsBundle),
+                           (40, solve_large_rhs, LargeRhsBundle)):
+        A, B, P, Y, X = make_solve_instance(ctx, 24, m, rng)
+        truth = X.a.copy()
+        B_in = B.copy()
+        shift(B_in.a)
+        for cand in (P.mat.a, X.a):
+            shift(cand)
+        if make is SmallRhsBundle:
+            bundle = make(A=A, B=B_in, lu_candidate=P, Y_candidate=Y,
+                          X_candidate=X, eps=0.05)
+        else:
+            Rinv = upper_inverse(ctx, P.upper_tri())
+            shift(Rinv.a)
+            bundle = make(A=A, B=B_in, lu_candidate=P, Rinv_candidate=Rinv,
+                          X_candidate=X, eps=0.05)
+        out, _ = solve(bundle, TrsmEcParams(0.05, seed=2))
+        assert np.array_equal(out.a, truth)

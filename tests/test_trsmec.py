@@ -185,9 +185,8 @@ def test_result_satisfies_equation_densely():
 
 def test_projected_gap_no_int64_overflow():
     # p = 2^29 - 3 allows 32 products of residues per int64 sum; W C and a
-    # positive (W A) B together sum 64, which must not take the raw path
+    # positive (W A) B together sum 64, more than one int64 sum can hold
     ctx = make_prime_field(2 ** 29 - 3)
-    assert ctx._acc_limit == 32
     n = 32
     rng = np.random.default_rng(0)
 
@@ -201,3 +200,31 @@ def test_projected_gap_no_int64_overflow():
     for _ in range(200):
         W = ctx.rand(rng, (1, n))
         assert not _projected_gap(ctx, W, H, R, {}, U).any()
+
+
+@pytest.mark.parametrize("p", [65537, 2 ** 31 - 1])
+def test_unreduced_entries_are_reduced(p):
+    # candidate entries a + p and a - p come back reduced; input operands
+    # out of range are read as reduced and left as they were
+    ctx = make_prime_field(p)
+    rng = np.random.default_rng(12)
+    # a left variant solves the transpose of a right instance
+    for variant, kind, left in ((trsm_ec_upper_right, "upper", False),
+                                (trsm_ec_lower_right, "lower", False),
+                                (trsm_ec_lower_left, "upper", True),
+                                (trsm_ec_upper_left, "lower", True)):
+        R, H, T = make_right_instance(ctx, 20, 20, 6, rng, kind=kind)
+        if left:
+            R, H, T = R.T, H.T, T.T
+        truth = R.a.copy()
+        corrupt(ctx, R, 3, rng)
+        R.a[0, 0] += p
+        R.a[5, 3] -= p
+        H.C.a[1, 2] += p
+        H.A.a[2, 1] -= p
+        T.a[0, 0] += p
+        before = [H.C.a.copy(), H.A.a.copy(), T.a.copy()]
+        rep = variant(R, H, T, TrsmEcParams(0.05, seed=2))
+        assert rep.verified and np.array_equal(R.a, truth)
+        assert all(np.array_equal(x, y) for x, y in
+                   zip(before, [H.C.a, H.A.a, T.a]))
