@@ -62,13 +62,15 @@ def _crout(ctx, M, A, n1, nrest):
     _crout(ctx, M, A, n1 + n2, n3)
 
 
-def crout_ec(packed, A, params, trace=None):
+def crout_ec(packed, A, params):
     """Correct a candidate LU factorization of A in place.
 
     packed holds the (possibly erroneous) L below the diagonal and U on and
     above it; on success it is overwritten with the true factors and
-    Pr[A = L.U] >= 1 - eps.  Returns (packed, report).
+    Pr[A = L.U] >= 1 - eps.  Returns (packed, report); the report's
+    wall_time covers the whole call, its lam is the largest of its stages.
     """
+    t0 = time.perf_counter()
     if not isinstance(params, TrsmEcParams):
         params = TrsmEcParams(params)
     if params.rng is None:
@@ -82,13 +84,13 @@ def crout_ec(packed, A, params, trace=None):
     # the candidate is reduced in place, the input through a reduced copy
     ctx.canonical(packed.mat.a, in_place=True)
     _crout_ec(ctx, packed.mat.a, ctx.canonical(A.a), 0, A.rows, params.eps,
-              params, rep, rank_mode=False, trace=trace, depth=0)
+              params, rep, rank_mode=False)
     rep.verified = all(c.verified for c in rep.children) if rep.children else True
+    rep.wall_time = time.perf_counter() - t0
     return packed, rep
 
 
-def _crout_ec(ctx, M, A, n1, nrest, eps, params, rep, rank_mode, trace,
-              depth):
+def _crout_ec(ctx, M, A, n1, nrest, eps, params, rep, rank_mode):
     if nrest == 0:
         return
     if nrest == 1:
@@ -100,15 +102,14 @@ def _crout_ec(ctx, M, A, n1, nrest, eps, params, rep, rank_mode, trace,
             raise GrpViolation("zero pivot at index %d" % i)
         M[i, i] = piv  # recomputed from scratch: the diagonal must be correct
         return
-    if nrest <= _BLOCK_CHECK and trace is None:
+    if nrest <= _BLOCK_CHECK:
         sub = _dense_block(ctx, M, A, n1, nrest, eps)
         if sub is not None:
             rep.add_child(sub)
             return
     n2 = (nrest + 1) // 2
     n3 = nrest - n2
-    _crout_ec(ctx, M, A, n1, n2, eps / 4, params, rep, rank_mode, trace,
-              depth + 1)
+    _crout_ec(ctx, M, A, n1, n2, eps / 4, params, rep, rank_mode)
     r1 = slice(0, n1)
     r2 = slice(n1, n1 + n2)
     r3 = slice(n1 + n2, n1 + nrest)
@@ -117,8 +118,6 @@ def _crout_ec(ctx, M, A, n1, nrest, eps, params, rep, rank_mode, trace,
     lam0 = freivalds_lambda(ctx.q, n2, eps / 4)
     fast = (n3 * n2 * (n1 + n2)
             <= lam0 * (n3 * n2 + n2 * n2 + n1 * (n3 + n2)))
-    if trace is not None:
-        trace.append((depth, "u_strip", n1, n1 + n2, n1 + n2, n1 + nrest))
     sub = _dense_strip(ctx, M, A, r1, r2, r3, "u", eps / 4) if fast else None
     if sub is None:
         # correct U23 against L22 . U23 = A23 - L21 . U13 (right side
@@ -129,8 +128,6 @@ def _crout_ec(ctx, M, A, n1, nrest, eps, params, rep, rank_mode, trace,
         sub = trsm_ec_lower_left(Mat(ctx, M[r2, r3]), H_u, L22,
                                  params.child(eps / 4))
     rep.add_child(sub)
-    if trace is not None:
-        trace.append((depth, "l_strip", n1 + n2, n1 + nrest, n1, n1 + n2))
     sub = _dense_strip(ctx, M, A, r1, r2, r3, "l", eps / 4) if fast else None
     if sub is None:
         # correct L32 against L32 . U22 = A32 - L31 . U12
@@ -140,8 +137,7 @@ def _crout_ec(ctx, M, A, n1, nrest, eps, params, rep, rank_mode, trace,
         sub = trsm_ec_upper_right(Mat(ctx, M[r3, r2]), H_l, U22,
                                   params.child(eps / 4))
     rep.add_child(sub)
-    _crout_ec(ctx, M, A, n1 + n2, n3, eps / 4, params, rep, rank_mode,
-              trace, depth + 1)
+    _crout_ec(ctx, M, A, n1 + n2, n3, eps / 4, params, rep, rank_mode)
 
 
 # subtree size up to which a clean block is confirmed by one dense check
@@ -267,8 +263,7 @@ def rank_deficient_ec(A, L_cand, U_cand, params):
     sub = CorrectionReport(stage="croutec", epsilon=params.eps / 3)
     try:
         _crout_ec(ctx, M, A.a[:d, :d], 0, d, params.eps / 3,
-                  params.child(params.eps / 3), sub, rank_mode=True,
-                  trace=None, depth=0)
+                  params.child(params.eps / 3), sub, rank_mode=True)
         r = d
     except _RankStop as stop:
         r = stop.rank

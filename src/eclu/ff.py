@@ -5,6 +5,9 @@ Two kinds of field are supported:
  - PrimeField: GF(p) with p prime, elements stored as int64 residues in [0, p).
  - ExtField: GF(p^nu), elements stored as packed base-p digit codes in
    [0, p^nu); code sum_i c_i * p^i stands for the polynomial sum_i c_i * x^i.
+   Elementwise arithmetic goes through log, antilog and Zech-log tables;
+   matrix products split the codes into digit planes and run on the
+   PrimeField kernel.
 
 All elementwise operations are vectorized over numpy int64 arrays of codes
 (plain Python ints work too).  Contexts are immutable after construction and
@@ -120,6 +123,9 @@ class FieldCtx:
 
     def eye(self, n):
         return np.eye(n, dtype=np.int64)
+
+    def dot(self, a, b):
+        return int(self.matmul(a.reshape(1, -1), b.reshape(-1, 1))[0, 0])
 
     def __eq__(self, other):
         return (isinstance(other, FieldCtx)
@@ -242,8 +248,10 @@ class PrimeField(FieldCtx):
         return C
 
     def _mm_float(self, A, B):
-        C = A.astype(np.float64) @ B.astype(np.float64)
-        return C.astype(np.int64) % self.p
+        # reduced in place: one product-sized buffer fewer at the peak
+        C = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+        C %= self.p
+        return C
 
     def _mm_split_one(self, A, B):
         if A.size > B.size:
@@ -261,22 +269,16 @@ class PrimeField(FieldCtx):
         return (C[:m, :n] % p * ((1 << 32) % p)
                 + (C[:m, n:] + C[m:, :n]) % p * 65536 + C[m:, n:]) % p
 
-    def dot(self, a, b):
-        return int(self.matmul(a.reshape(1, -1), b.reshape(-1, 1))[0, 0])
-
-    def embed_array(self, a):
-        return a
-
-    def coerce_array(self, a, base):
-        return a
-
 
 class ExtField(FieldCtx):
-    """GF(p^nu) via packed digit codes plus log/antilog tables.
+    """GF(p^nu) via packed digit codes plus log, antilog and Zech tables.
 
-    Addition is digit-wise mod p on the packed codes; multiplication goes
-    through discrete-log tables over a fixed primitive element, so q is kept
-    at desk scale (q <= 2^20 enforced).
+    Codes stay packed.  Products go through discrete logs to a fixed
+    primitive element g, sums through the Zech logarithm
+    zech[n] = log(1 + g^n): a + b = g^(log a + zech[log b - log a]).  The
+    three int64 tables hold q entries each, so q is kept at desk scale
+    (q <= 2^20 enforced, where they take 24 MiB).  Matrix products run on
+    the prime kernel over digit planes (see matmul).
     """
 
     def __init__(self, p, nu, modulus=None):
@@ -296,7 +298,15 @@ class ExtField(FieldCtx):
         if len(self.modulus) != nu + 1 or self.modulus[-1] != 1:
             raise FieldError("modulus must be monic of degree %d" % nu)
         self._pw = np.array([p ** i for i in range(nu)], dtype=np.int64)
-        self._build_log_tables()
+        self._base = make_prime_field(p)
+        self._q1 = q - 1
+        # -1 = g^((q-1)/2) for odd p
+        self._half = (q - 1) // 2
+        # _fold[t, i*nu + j]: coefficient of x^t in x^(i+j) mod the modulus
+        x = [[0] * i + [1] for i in range(nu)]
+        self._fold = np.array([_polmul_mod(p, xi, xj, self.modulus)
+                               for xi in x for xj in x], dtype=np.int64).T.copy()
+        self._build_tables()
 
     def __repr__(self):
         return "GF(%d^%d)" % (self.p, self.nu)
@@ -317,13 +327,6 @@ class ExtField(FieldCtx):
             code //= self.p
         return out
 
-    def _digits(self, a):
-        # shape (..., nu) digit view of packed codes
-        return (np.asarray(a, dtype=np.int64)[..., None] // self._pw) % self.p
-
-    def _pack(self, d):
-        return (d * self._pw).sum(axis=-1)
-
     def _reduce(self, a, out):
         raise FieldError("codes of %r must lie in [0, %d)" % (self, self.q))
 
@@ -331,98 +334,117 @@ class ExtField(FieldCtx):
 
     def add(self, a, b):
         _bump(max(_sz(a), _sz(b)))
-        s = (self._digits(a) + self._digits(b)) % self.p
-        r = self._pack(s)
-        return r if isinstance(r, np.ndarray) and r.ndim else int(r)
+        la = self._log[a]
+        lb = self._log[b]
+        z = self._zech[(lb - la) % self._q1]
+        r = np.where(z < 0, 0, self._exp[(la + z) % self._q1])
+        r = np.where(la < 0, b, np.where(lb < 0, a, r))
+        return r if r.ndim else int(r)
 
     def sub(self, a, b):
-        _bump(max(_sz(a), _sz(b)))
-        s = (self._digits(a) - self._digits(b)) % self.p
-        r = self._pack(s)
-        return r if isinstance(r, np.ndarray) and r.ndim else int(r)
+        return self.add(a, self._neg(b))
 
     def neg(self, a):
         _bump(_sz(a))
-        r = self._pack((-self._digits(a)) % self.p)
-        return r if isinstance(r, np.ndarray) and r.ndim else int(r)
+        return self._neg(a)
+
+    def _neg(self, a):
+        if self.p == 2:
+            r = np.array(a, dtype=np.int64)
+        else:
+            la = self._log[a]
+            r = np.where(la < 0, 0, self._exp[(la + self._half) % self._q1])
+        return r if r.ndim else int(r)
 
     def mul(self, a, b):
         _bump(max(_sz(a), _sz(b)))
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
         la = self._log[a]
         lb = self._log[b]
-        zero = (la < 0) | (lb < 0)
-        prod = self._exp[(np.maximum(la, 0) + np.maximum(lb, 0)) % (self.q - 1)]
-        r = np.where(zero, 0, prod)
+        r = np.where((la < 0) | (lb < 0), 0, self._exp[(la + lb) % self._q1])
         return r if r.ndim else int(r)
 
+    # scalar ops: Python ints read from the tables, no numpy temporaries
+
     def sadd(self, a, b):
-        return int(self.add(a, b))
+        _bump(1)
+        a, b = int(a), int(b)
+        if a == 0 or b == 0:
+            return a + b
+        la = self._log.item(a)
+        z = self._zech.item((self._log.item(b) - la) % self._q1)
+        return 0 if z < 0 else self._exp.item((la + z) % self._q1)
 
     def ssub(self, a, b):
-        return int(self.sub(a, b))
+        return self.sadd(a, self._sneg(int(b)))
 
     def sneg(self, a):
-        return int(self.neg(a))
+        _bump(1)
+        return self._sneg(int(a))
+
+    def _sneg(self, a):
+        if a == 0 or self.p == 2:
+            return a
+        return self._exp.item((self._log.item(a) + self._half) % self._q1)
 
     def smul(self, a, b):
         _bump(1)
-        la = int(self._log[a])
-        lb = int(self._log[b])
+        la = self._log.item(a)
+        lb = self._log.item(b)
         if la < 0 or lb < 0:
             return 0
-        return int(self._exp[(la + lb) % (self.q - 1)])
+        return self._exp.item((la + lb) % self._q1)
 
     def sinv(self, a):
-        la = int(self._log[a])
+        la = self._log.item(a)
         if la < 0:
             raise ZeroDivisionError("inverse of zero in %r" % self)
         _bump(1)
-        return int(self._exp[(self.q - 1 - la) % (self.q - 1)])
+        return self._exp.item(-la % self._q1)
 
     def inv_vec(self, a):
         la = self._log[a]
         if np.any(la < 0):
             raise ZeroDivisionError("inverse of zero in %r" % self)
         _bump(_sz(a))
-        return self._exp[(self.q - 1 - la) % (self.q - 1)]
+        return self._exp[-la % self._q1]
 
     def spow(self, a, e):
         e = int(e)
         if e == 0:
             return 1
-        la = int(self._log[a])
+        la = self._log.item(a)
         if la < 0:
             if e < 0:
                 raise ZeroDivisionError
             return 0
         _bump(1)
-        return int(self._exp[(la * e) % (self.q - 1)])
+        return self._exp.item(la * e % self._q1)
 
     def matmul(self, A, B):
+        """A.B for code arrays A (m-by-l) and B (l-by-n).
+
+        The nu^2 products of the base-p digit planes, A_i.B_j, come from one
+        PrimeField.matmul, [A_0; ...; A_{nu-1}].[B_0 ... B_{nu-1}], exact by
+        its own bounds.  _fold maps them to the coefficients of the product:
+        block (i, j) goes to x^(i+j), reduced by the modulus.  Exact-integer
+        bound: _fold sums nu^2 products of two residues, below nu^2 p^2 <=
+        2^29, as q = p^nu <= 2^20 gives nu <= 20 and p^2 <= 2^20.
+        """
         m, ell = A.shape
         n = B.shape[1]
-        _bump(m * ell * n)
-        if ell == 0:
-            return np.zeros((m, n), dtype=np.int64)
-        # accumulate raw digit sums, reduce mod p once at the end
-        acc = np.zeros((m, n, self.nu), dtype=np.int64)
-        for k in range(ell):
-            prod = self.mul(A[:, k:k + 1], B[k:k + 1, :])
-            acc += self._digits(prod)
-            if (k + 1) % 4096 == 0:
-                acc %= self.p
-        return self._pack(acc % self.p)
-
-    def dot(self, a, b):
-        return int(self.matmul(a.reshape(1, -1), b.reshape(-1, 1))[0, 0])
-
-    # -- embedding of the base prime field --------------------------------
-
-    def embed_array(self, a):
-        # constants of GF(p) keep their code in GF(p^nu)
-        return a
+        p, nu = self.p, self.nu
+        # m*ell*n field ops net, once base.matmul below adds nu^2 m*ell*n
+        _bump(m * ell * n * (1 - nu * nu))
+        # digit i of a is a // p^i - p * (a // p^(i+1))
+        Ad = A // self._pw[:, None, None]
+        Ad[:-1] -= Ad[1:] * p
+        Bd = B[:, None, :] // self._pw[:, None]
+        Bd[:, :-1] -= Bd[:, 1:] * p
+        C = self._base.matmul(Ad.reshape(nu * m, ell), Bd.reshape(ell, nu * n))
+        C = self._fold @ C.reshape(nu, m, nu, n).transpose(0, 2, 1, 3).reshape(
+            nu * nu, m * n)
+        C %= p
+        return (self._pw @ C).reshape(m, n)
 
     def coerce_array(self, a, base):
         """Map degree-0 codes back to the base field; raise on non-constants."""
@@ -436,59 +458,55 @@ class ExtField(FieldCtx):
 
     # -- construction helpers ---------------------------------------------
 
-    def _polmul_mod(self, f, g):
-        p, nu = self.p, self.nu
-        out = [0] * (2 * nu - 1)
-        for i, fi in enumerate(f):
-            if fi:
-                for j, gj in enumerate(g):
-                    out[i + j] = (out[i + j] + fi * gj) % p
-        # reduce by the monic modulus
-        for d in range(len(out) - 1, nu - 1, -1):
-            c = out[d]
-            if c:
-                out[d] = 0
-                for i in range(nu):
-                    out[d - nu + i] = (out[d - nu + i] - c * self.modulus[i]) % p
-        return out[:nu]
+    def _build_tables(self):
+        """exp[i] = g^i, log (-1 at 0) and zech[n] = log(1 + g^n).
 
-    def _build_log_tables(self):
-        q = self.q
-        gen = self._find_generator()
+        With M the nu-by-nu matrix of multiplication by g over GF(p), the
+        block of b powers from g^s on is M^s times the coefficient vectors
+        of g^0..g^(b-1); no temporary is larger than a block.
+        """
+        p, nu, q = self.p, self.nu, self.q
+        g = self.coeffs(self._find_generator())
+        M = np.array([_polmul_mod(p, [0] * j + [1], g, self.modulus)
+                      for j in range(nu)], dtype=np.int64).T
+        b = math.isqrt(q - 1) + 1
+        G = np.empty((nu, b), dtype=np.int64)
+        Mb = np.eye(nu, dtype=np.int64)
+        for j in range(b):
+            G[:, j] = Mb[:, 0]
+            Mb = M @ Mb % p
         exp = np.empty(q - 1, dtype=np.int64)
         log = np.full(q, -1, dtype=np.int64)
-        cur = [1] + [0] * (self.nu - 1)
-        gcoef = self.coeffs(gen)
-        for i in range(q - 1):
-            code = self.code(cur)
-            exp[i] = code
-            log[code] = i
-            cur = self._polmul_mod(cur, gcoef)
-        if self.code(cur) != 1:
+        Ms = np.eye(nu, dtype=np.int64)
+        for s in range(0, q - 1, b):
+            codes = (self._pw @ (Ms @ G % p))[:q - 1 - s]
+            exp[s:s + b] = codes
+            log[codes] = np.arange(s, s + len(codes))
+            Ms = Mb @ Ms % p
+        # g generates all q - 1 units only when the modulus is irreducible
+        if log[1:].min() < 0:
             raise FieldError("modulus %s is not irreducible over GF(%d)"
                              % (list(self.modulus), self.p))
+        zech = np.empty(q - 1, dtype=np.int64)
+        for s in range(0, q - 1, b):
+            # 1 + g^n: add 1 to the constant digit
+            c = exp[s:s + b]
+            c0 = c % p
+            zech[s:s + b] = log[c - c0 + (c0 + 1) % p]
         self._exp = exp
         self._log = log
+        self._zech = zech
 
     def _find_generator(self):
         q = self.q
+        one = self.coeffs(1)
         fac = _prime_factors(q - 1)
         for cand in range(2, q):
             cc = self.coeffs(cand)
-            if all(self._pol_order_check(cc, (q - 1) // f) for f in fac):
+            if all(_polpow(self.p, cc, (q - 1) // f, self.modulus) != one
+                   for f in fac):
                 return cand
         raise FieldError("no generator found (modulus not irreducible?)")
-
-    def _pol_order_check(self, coeffs, e):
-        # coeffs**e != 1 by square-and-multiply on coefficient vectors
-        acc = [1] + [0] * (self.nu - 1)
-        base = list(coeffs)
-        while e:
-            if e & 1:
-                acc = self._polmul_mod(acc, base)
-            base = self._polmul_mod(base, base)
-            e >>= 1
-        return self.code(acc) != 1
 
 
 def _prime_factors(n):
@@ -526,51 +544,42 @@ def _poly_gcd_is_one(p, f, g):
     return deg(f) == 0
 
 
-def _x_pow_pe_mod(p, modulus, nu, i):
-    """x^(p^i) mod modulus, as a coefficient list of length nu."""
-    cur = [0, 1][:max(2, nu)]
-    cur = cur + [0] * (nu - len(cur))
+def _polmul_mod(p, f, g, modulus):
+    """f.g mod the monic modulus over GF(p); coefficient lists, low first."""
+    nu = len(modulus) - 1
+    out = [0] * (2 * nu - 1)
+    for i, fi in enumerate(f):
+        if fi:
+            for j, gj in enumerate(g):
+                out[i + j] = (out[i + j] + fi * gj) % p
+    for d in range(len(out) - 1, nu - 1, -1):
+        c = out[d]
+        if c:
+            for i in range(nu):
+                out[d - nu + i] = (out[d - nu + i] - c * modulus[i]) % p
+    return out[:nu]
 
-    def polmul(f, g):
-        out = [0] * (2 * nu - 1)
-        for a, fa in enumerate(f):
-            if fa:
-                for b, gb in enumerate(g):
-                    out[a + b] = (out[a + b] + fa * gb) % p
-        for d in range(len(out) - 1, nu - 1, -1):
-            c = out[d]
-            if c:
-                out[d] = 0
-                for t in range(nu):
-                    out[d - nu + t] = (out[d - nu + t] - c * modulus[t]) % p
-        return out[:nu]
 
-    def polpow(f, e):
-        acc = [1] + [0] * (nu - 1)
-        while e:
-            if e & 1:
-                acc = polmul(acc, f)
-            f = polmul(f, f)
-            e >>= 1
-        return acc
-
-    for _ in range(i):
-        cur = polpow(cur, p)
-    return cur
+def _polpow(p, f, e, modulus):
+    """f^e mod the monic modulus over GF(p), by square-and-multiply."""
+    acc = [1] + [0] * (len(modulus) - 2)
+    while e:
+        if e & 1:
+            acc = _polmul_mod(p, acc, f, modulus)
+        f = _polmul_mod(p, f, f, modulus)
+        e >>= 1
+    return acc
 
 
 def _is_irreducible(p, coeffs):
-    """Monic coeffs (low first, degree nu): irreducible over GF(p)?"""
+    """Monic coeffs (low first, degree nu >= 2): irreducible over GF(p)?"""
     nu = len(coeffs) - 1
-    if nu == 1:
-        return True
-    # x^(p^nu) == x mod f, and gcd(x^(p^i) - x, f) = 1 for i <= nu/2
-    top = _x_pow_pe_mod(p, coeffs, nu, nu)
     x = [0, 1] + [0] * (nu - 2)
-    if top != x:
+    # x^(p^nu) == x mod f, and gcd(x^(p^i) - x, f) = 1 for i <= nu/2
+    if _polpow(p, x, p ** nu, coeffs) != x:
         return False
     for i in range(1, nu // 2 + 1):
-        xpi = _x_pow_pe_mod(p, coeffs, nu, i)
+        xpi = _polpow(p, x, p ** i, coeffs)
         diff = [(a - b) % p for a, b in zip(xpi, x)]
         if not _poly_gcd_is_one(p, diff, list(coeffs)):
             return False
@@ -580,12 +589,7 @@ def _is_irreducible(p, coeffs):
 def _find_irreducible(p, nu):
     """First monic irreducible of degree nu in lexicographic code order."""
     for t in range(p ** nu):
-        coeffs = []
-        tt = t
-        for _ in range(nu):
-            coeffs.append(tt % p)
-            tt //= p
-        coeffs.append(1)
+        coeffs = [t // p ** i % p for i in range(nu)] + [1]
         if _is_irreducible(p, coeffs):
             return coeffs
     raise FieldError("no irreducible polynomial found")  # cannot happen
@@ -661,7 +665,8 @@ def _embedding(base, big):
             acc = big.sadd(acc, big.smul(c, rp))
             rp = big.smul(rp, root)
         table[code] = acc
-    inverse = {int(v): i for i, v in enumerate(table)}
+    inverse = np.full(big.q, -1, dtype=np.int64)
+    inverse[table] = np.arange(base.q)
     _EMBED_CACHE[key] = (table, inverse)
     return _EMBED_CACHE[key]
 
@@ -683,14 +688,10 @@ def coerce_down(base, big, arr):
     if base.nu == 1:
         return big.coerce_array(arr, base)
     _, inverse = _embedding(base, big)
-    flat_in = np.ascontiguousarray(arr).ravel()
-    out = np.empty(flat_in.size, dtype=np.int64)
-    for i in range(flat_in.size):
-        v = inverse.get(int(flat_in[i]))
-        if v is None:
-            raise FieldError("element not in the embedded subfield")
-        out[i] = v
-    return out.reshape(np.shape(arr))
+    out = inverse[arr]
+    if np.any(out < 0):
+        raise FieldError("element not in the embedded subfield")
+    return out
 
 
 class PowTable:

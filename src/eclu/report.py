@@ -14,7 +14,7 @@ class CorrectionReport:
     positions: list = field(default_factory=list)
     rounds: int = 0                # loop passes including the final clean one
     correcting_rounds: int = 0     # passes that found erroneous columns
-    lam: int = 0
+    lam: int = 0                   # projections; a parent holds its largest child's
     epsilon: float = 0.0
     extended: bool = False
     ext_degree: int = 1
@@ -29,6 +29,7 @@ class CorrectionReport:
         self.corrected += child.corrected
         self.rounds += child.rounds
         self.correcting_rounds += child.correcting_rounds
+        self.lam = max(self.lam, child.lam)
         self.extended = self.extended or child.extended
         self.ext_degree = max(self.ext_degree, child.ext_degree)
         self.wall_time += child.wall_time

@@ -1,6 +1,8 @@
 """Reference Crout LU, its corrector, and the rectangular / rank-deficient
 wrappers."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -268,3 +270,20 @@ def test_croutec_report_leaves_named_and_timed():
     assert {leaf.stage for leaf in dense} == {
         "dense_block", "dense_strip_u", "dense_strip_l"}
     assert all(leaf.wall_time > 0 for leaf in dense)
+
+
+def test_croutec_root_report_times_itself_and_holds_largest_lam():
+    # the root's time covers its own pivots and dense checks as well as
+    # its stages, and its lam is the largest lam of the stages
+    rng = np.random.default_rng(12)
+    A, L0, U0 = make_grp_instance(FBIG, 64, rng)
+    P = PackedLU.pack(L0.copy(), U0.copy())
+    corrupt_packed(FBIG, P, 4, rng)
+    t0 = time.perf_counter()
+    _, rep = crout_ec(P, A, TrsmEcParams(0.05, seed=2))
+    outside = time.perf_counter() - t0
+    assert np.array_equal(P.mat.a, PackedLU.pack(L0, U0).mat.a)
+    leaves = list(rep.iter_leaves())
+    assert sum(c.wall_time for c in rep.children) < rep.wall_time <= outside
+    assert max(leaf.lam for leaf in leaves) > 0
+    assert rep.lam == max(leaf.lam for leaf in leaves)

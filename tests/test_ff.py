@@ -174,6 +174,13 @@ def test_coerce_down_rejects_outside_subfield():
     big = extend_field(base, 3)
     with pytest.raises(FieldError):
         ff.coerce_down(base, big, np.array([base.q], dtype=np.int64))
+    # GF(2^3) inside GF(2^6): 2^6 - 2^3 codes lie outside the image
+    base = make_ext_field(2, 3)
+    big = extend_field(base, base.q)
+    up = set(ff.embed_up(base, big, np.arange(base.q)).tolist())
+    outside = next(c for c in range(big.q) if c not in up)
+    with pytest.raises(FieldError):
+        ff.coerce_down(base, big, np.array([[0, outside]], dtype=np.int64))
 
 
 def test_coerce_down_noncontiguous_input():
@@ -294,3 +301,134 @@ def test_canonical_reduces_only_out_of_range_codes():
         g.canonical(np.array([0, -1], dtype=np.int64))
     with pytest.raises(FieldError):
         g.canonical(np.array([g.q], dtype=np.int64))
+
+
+# ExtField against a coefficient-list oracle: each code is unpacked with
+# coeffs, combined digit by digit (or by ff._polmul_mod) and packed with code
+EXT_FIELDS = [(2, 2), (2, 7), (2, 8), (3, 4), (7, 3), (31, 3)]
+
+
+def oracle_add(ctx, a, b, sign=1):
+    return ctx.code([(x + sign * y) % ctx.p
+                     for x, y in zip(ctx.coeffs(a), ctx.coeffs(b))])
+
+
+def oracle_mul(ctx, a, b):
+    return ctx.code(ff._polmul_mod(ctx.p, ctx.coeffs(a), ctx.coeffs(b),
+                                   ctx.modulus))
+
+
+def oracle_matmul(ctx, A, B):
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            acc = 0
+            for a, b in zip(A[i], B[:, j]):
+                acc = oracle_add(ctx, acc, oracle_mul(ctx, a, b))
+            out[i, j] = acc
+    return out
+
+
+def check_ext_elementwise(ctx, a, b):
+    """Vector and scalar add, sub, neg and mul of code arrays a and b."""
+    pairs = list(zip(a.tolist(), b.tolist()))
+    want = {"add": [oracle_add(ctx, x, y) for x, y in pairs],
+            "sub": [oracle_add(ctx, x, y, -1) for x, y in pairs],
+            "mul": [oracle_mul(ctx, x, y) for x, y in pairs]}
+    for op, w in want.items():
+        assert getattr(ctx, op)(a, b).tolist() == w, op
+        assert [getattr(ctx, "s" + op)(x, y) for x, y in pairs] == w, op
+    neg = [oracle_add(ctx, 0, x, -1) for x in a.tolist()]
+    assert ctx.neg(a).tolist() == neg
+    assert [ctx.sneg(x) for x in a.tolist()] == neg
+    # a + (-a) = 0, and a + a = 0 in characteristic 2
+    assert not ctx.add(a, ctx.neg(a)).any()
+    assert all(ctx.sadd(x, ctx.sneg(x)) == 0 for x in a.tolist())
+    if ctx.p == 2:
+        assert not ctx.add(a, a).any()
+    # a code array plus one scalar code, as the locator sweep adds them
+    c = int(b[0])
+    assert ctx.add(a, np.int64(c)).tolist() == [oracle_add(ctx, x, c)
+                                                for x in a.tolist()]
+
+
+def ext_codes(ctx):
+    # zero and q - 1 often, so that the zero-operand paths are hit
+    return st.one_of(st.sampled_from([0, 1, ctx.q - 1]),
+                     st.integers(0, ctx.q - 1))
+
+
+@pytest.mark.parametrize("p,nu", EXT_FIELDS)
+@given(data=st.data())
+def test_ext_elementwise_matches_oracle(p, nu, data):
+    ctx = make_ext_field(p, nu)
+    n = data.draw(st.integers(1, 12))
+    a = np.array(data.draw(st.lists(ext_codes(ctx), min_size=n, max_size=n)),
+                 dtype=np.int64)
+    b = np.array(data.draw(st.lists(ext_codes(ctx), min_size=n, max_size=n)),
+                 dtype=np.int64)
+    if data.draw(st.booleans()):
+        b[::2] = ctx.neg(a[::2])  # sums that vanish
+    check_ext_elementwise(ctx, a, b)
+
+
+@pytest.mark.parametrize("p,nu", [(2, 2), (2, 7), (3, 4)])
+def test_ext_elementwise_all_pairs_of_small_field(p, nu):
+    ctx = make_ext_field(p, nu)
+    codes = np.arange(ctx.q, dtype=np.int64)
+    check_ext_elementwise(ctx, np.repeat(codes, ctx.q), np.tile(codes, ctx.q))
+
+
+def check_ext_matmul(ctx, A, B):
+    C = ctx.matmul(A, B)
+    assert C.dtype == np.int64 and C.shape == (A.shape[0], B.shape[1])
+    assert np.array_equal(C, oracle_matmul(ctx, A, B))
+
+
+@pytest.mark.parametrize("p,nu", EXT_FIELDS)
+@given(data=st.data())
+def test_ext_matmul_matches_oracle(p, nu, data):
+    ctx = make_ext_field(p, nu)
+    side = st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 7))
+    m, n = data.draw(side), data.draw(side)
+    ell = data.draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 9)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    fill = data.draw(st.sampled_from(["random", "max"]))
+    layouts = st.sampled_from(["plain", "transposed", "strided"])
+    A = operand(rng, ctx.q, (m, ell), fill, data.draw(layouts))
+    B = operand(rng, ctx.q, (ell, n), fill, data.draw(layouts))
+    check_ext_matmul(ctx, A, B)
+
+
+@pytest.mark.parametrize("p,nu", EXT_FIELDS)
+@pytest.mark.parametrize("m,ell,n,fill,la,lb", [
+    (3, 0, 4, "random", "plain", "plain"),
+    (4, 1, 3, "max", "transposed", "plain"),
+    (5, 1, 1, "random", "strided", "strided"),
+    (6, 9, 5, "max", "plain", "strided"),
+    (7, 12, 6, "max", "transposed", "transposed"),
+    (12, 40, 10, "random", "strided", "transposed"),
+])
+def test_ext_matmul_fixed_cases(p, nu, m, ell, n, fill, la, lb):
+    # inner dimensions 0 and 1, all-(q-1) operands, the views the Crout
+    # recursion passes, and a product large enough for the float64 kernel
+    ctx = make_ext_field(p, nu)
+    rng = np.random.default_rng(m * ell + n)
+    check_ext_matmul(ctx, operand(rng, ctx.q, (m, ell), fill, la),
+                     operand(rng, ctx.q, (ell, n), fill, lb))
+
+
+def test_ext_gf2_20_matches_oracle():
+    # the largest field ExtField builds, kept out of the field cache
+    ctx = ff.ExtField(2, 20)
+    assert len(ctx._exp) == len(ctx._zech) == ctx.q - 1 == len(ctx._log) - 1
+    rng = np.random.default_rng(20)
+    a = rng.integers(0, ctx.q, 200, dtype=np.int64)
+    b = rng.integers(0, ctx.q, 200, dtype=np.int64)
+    a[:3] = [0, 1, ctx.q - 1]
+    b[:6] = [0, 0, ctx.q - 1, 5, 1, ctx.q - 1]
+    b[6:12] = a[6:12]
+    check_ext_elementwise(ctx, a, b)
+    for fill in ("random", "max"):
+        check_ext_matmul(ctx, operand(rng, ctx.q, (3, 5), fill, "strided"),
+                         operand(rng, ctx.q, (5, 2), fill, "transposed"))
