@@ -77,11 +77,6 @@ class BlackboxRHS:
                 acc = prod if acc is None else ctx.add(acc, prod)
         return Mat(ctx, acc)
 
-    def project_left_selected(self, V, J):
-        """V.H.P for the column selection J, again without forming H."""
-        J = np.asarray(J, dtype=np.intp)
-        return self.select_cols(J).project_left(V)
-
     def select_cols(self, J):
         """The blackbox H.P = C.P + sign * A.(B.P)."""
         J = np.asarray(J, dtype=np.intp)

@@ -14,7 +14,7 @@ import numpy as np
 from .blackbox import BlackboxRHS
 from .mat import DimensionError, Mat, PackedLU, Tri
 from .report import CorrectionReport
-from .trsmec import (TrsmEcParams, freivalds_lambda, trsm_ec_lower_left,
+from .trsmec import (TrsmEcParams, dense_cheaper, trsm_ec_lower_left,
                      trsm_ec_upper_right)
 
 
@@ -71,11 +71,7 @@ def crout_ec(packed, A, params):
     wall_time covers the whole call, its lam is the largest of its stages.
     """
     t0 = time.perf_counter()
-    if not isinstance(params, TrsmEcParams):
-        params = TrsmEcParams(params)
-    if params.rng is None:
-        params = TrsmEcParams(params.eps, seed=params.seed,
-                              rng=params.generator())
+    params = TrsmEcParams.with_generator(params)
     if A.rows != A.cols or packed.n != A.rows:
         raise DimensionError("candidate and input sizes disagree")
     rep = CorrectionReport(stage="croutec", epsilon=params.eps,
@@ -115,9 +111,7 @@ def _crout_ec(ctx, M, A, n1, nrest, eps, params, rep, rank_mode):
     r3 = slice(n1 + n2, n1 + nrest)
     # narrow strips that the triangular corrector would check densely are
     # checked here, skipping the operand wrapping
-    lam0 = freivalds_lambda(ctx.q, n2, eps / 4)
-    fast = (n3 * n2 * (n1 + n2)
-            <= lam0 * (n3 * n2 + n2 * n2 + n1 * (n3 + n2)))
+    fast = dense_cheaper(ctx.q, eps / 4, n3, n2, n1)
     sub = _dense_strip(ctx, M, A, r1, r2, r3, "u", eps / 4) if fast else None
     if sub is None:
         # correct U23 against L22 . U23 = A23 - L21 . U13 (right side
@@ -207,11 +201,7 @@ def rect_ec(A, packed, U2, params):
     candidate for the trailing columns.  Both are corrected in place so
     that L . [U1 U2] = A with probability >= 1 - eps.
     """
-    if not isinstance(params, TrsmEcParams):
-        params = TrsmEcParams(params)
-    if params.rng is None:
-        params = TrsmEcParams(params.eps, seed=params.seed,
-                              rng=params.generator())
+    params = TrsmEcParams.with_generator(params)
     m, n = A.shape
     if m > n:
         raise DimensionError("rect_ec expects m <= n")
@@ -238,11 +228,7 @@ def rank_deficient_ec(A, L_cand, U_cand, params):
     Returns (r, L, U, report) with L of size m-by-r, U of size r-by-n and
     L . U = A with probability >= 1 - eps.
     """
-    if not isinstance(params, TrsmEcParams):
-        params = TrsmEcParams(params)
-    if params.rng is None:
-        params = TrsmEcParams(params.eps, seed=params.seed,
-                              rng=params.generator())
+    params = TrsmEcParams.with_generator(params)
     ctx = A.ctx
     m, n = A.shape
     r_hat = L_cand.cols

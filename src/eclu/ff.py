@@ -185,13 +185,6 @@ class PrimeField(FieldCtx):
         _bump(1)
         return pow(a, self.p - 2, self.p)
 
-    def inv_vec(self, a):
-        flat_in = np.ascontiguousarray(a).ravel()
-        out = np.empty(flat_in.size, dtype=np.int64)
-        for i in range(flat_in.size):
-            out[i] = self.sinv(int(flat_in[i]))
-        return out.reshape(np.shape(a))
-
     def spow(self, a, e):
         _bump(1)
         return pow(int(a), int(e), self.p)
@@ -400,13 +393,6 @@ class ExtField(FieldCtx):
             raise ZeroDivisionError("inverse of zero in %r" % self)
         _bump(1)
         return self._exp.item(-la % self._q1)
-
-    def inv_vec(self, a):
-        la = self._log[a]
-        if np.any(la < 0):
-            raise ZeroDivisionError("inverse of zero in %r" % self)
-        _bump(_sz(a))
-        return self._exp[-la % self._q1]
 
     def spow(self, a, e):
         e = int(e)

@@ -96,31 +96,6 @@ def nnz(M):
     return int(np.count_nonzero(a))
 
 
-def col_support(M):
-    """Indices of columns holding at least one nonzero entry, ascending."""
-    a = M.a if isinstance(M, Mat) else M
-    return np.nonzero(a.any(axis=0))[0]
-
-
-def select_cols(M, J):
-    """Gather columns J (the action of the selection matrix on the right)."""
-    return Mat(M.ctx, M.a[:, np.asarray(J, dtype=np.intp)].copy())
-
-
-def select_rows_cols(T, J):
-    """Principal submatrix on indices J; preserves triangularity."""
-    J = np.asarray(J, dtype=np.intp)
-    return Mat(T.ctx, T.a[np.ix_(J, J)].copy())
-
-
-def scatter_cols(S, J, n):
-    """Place the columns of S at indices J inside an m-by-n zero matrix."""
-    J = np.asarray(J, dtype=np.intp)
-    out = np.zeros((S.rows, n), dtype=np.int64)
-    out[:, J] = S.a
-    return Mat(S.ctx, out)
-
-
 class Tri:
     """Triangular operand over a (possibly shared) square buffer.
 

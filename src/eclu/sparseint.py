@@ -30,11 +30,6 @@ class SparseColumn:
     indices: list
     values: list
 
-    def as_dense(self, m):
-        out = np.zeros(m, dtype=np.int64)
-        out[self.indices] = self.values
-        return out
-
 
 FAILED = None  # failure marker used in RecoveryOutcome slots
 

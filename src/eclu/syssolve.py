@@ -22,8 +22,9 @@ from .croutec import crout_ec
 from .mat import DimensionError, Mat, PackedLU, Tri
 from .report import CorrectionReport
 from .sparseint import apply_vandermonde, batch_interpolate, vandermonde_cols
-from .trsmec import (MonteCarloFailure, TrsmEcParams, freivalds_lambda,
-                     iteration_cap, trsm_ec_lower_right, trsm_ec_upper_right)
+from .trsmec import (MonteCarloFailure, TrsmEcParams, _dense_solve,
+                     dense_cheaper, freivalds_lambda, iteration_cap,
+                     trsm_ec_lower_right, trsm_ec_upper_right)
 
 
 @dataclass
@@ -53,7 +54,8 @@ def small_m_cutoff(n):
 
 def solve_small_rhs(bundle, params=None):
     """Correct everything so that X.A = B; returns (X, report)."""
-    params = _params(bundle.eps, params)
+    params = TrsmEcParams.with_generator(
+        bundle.eps if params is None else params)
     _check_shapes(bundle.A, bundle.B, bundle.lu_candidate)
     rep = CorrectionReport(stage="solve_small_rhs", epsilon=params.eps,
                            seed=params.seed)
@@ -84,7 +86,8 @@ def solve_small_rhs(bundle, params=None):
 
 def solve_large_rhs(bundle, params=None):
     """Pipeline for many rows: corrects a candidate U^{-1} instead of Y."""
-    params = _params(bundle.eps, params)
+    params = TrsmEcParams.with_generator(
+        bundle.eps if params is None else params)
     _check_shapes(bundle.A, bundle.B, bundle.lu_candidate)
     n = bundle.A.rows
     if bundle.Rinv_candidate.shape != (n, n):
@@ -185,6 +188,13 @@ def tr_inv_ec(R, U, params):
         c_prev = c
         if c == 0:
             break
+        if dense_cheaper(ctx.q, params.eps, n, n, 0, c, k_guess - k_done):
+            # R = I U^-1 by one dense solve, as in trsmec's loop
+            if Ra is not R.a:
+                R.a[...] = ff.coerce_down(base, ctx, Ra)
+            _dense_solve(R, BlackboxRHS(C=Mat.identity(base, n)), U, rep)
+            rep.wall_time = time.perf_counter() - t0
+            return rep
         rep.correcting_rounds += 1
         if tab is None:
             tab = ff.element_of_order_at_least(ctx, n, rng=rng)
@@ -205,15 +215,6 @@ def tr_inv_ec(R, U, params):
         R.a[...] = ff.coerce_down(base, ctx, Ra)
     rep.wall_time = time.perf_counter() - t0
     return rep
-
-
-def _params(eps, params):
-    if params is None:
-        params = TrsmEcParams(eps)
-    if params.rng is None:
-        params = TrsmEcParams(params.eps, seed=params.seed,
-                               rng=params.generator())
-    return params
 
 
 def _canonical_rhs(bundle):

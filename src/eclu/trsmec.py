@@ -7,7 +7,8 @@ sparse interpolation, and commits a recovered column only once the next
 round's projection confirms it.  If fewer than half of the located columns
 clear in a round, the guess k doubles.  The loop ends when a projection
 finds no erroneous column at all, which bounds the failure probability of
-the final state by the requested epsilon.
+the final state by the requested epsilon, or with one deterministic dense
+solve when `dense_cheaper` finds that cheaper than the round's recovery.
 """
 
 import functools
@@ -44,6 +45,16 @@ class TrsmEcParams:
             return self.rng
         return np.random.default_rng(self.seed)
 
+    @classmethod
+    def with_generator(cls, params):
+        """params (a TrsmEcParams or a bare failure bound) holding a live
+        generator, so that the stages of one call draw from one stream."""
+        if not isinstance(params, cls):
+            params = cls(params)
+        if params.rng is None:
+            params = cls(params.eps, seed=params.seed, rng=params.generator())
+        return params
+
     def child(self, eps):
         p = TrsmEcParams(eps, seed=self.seed)
         p.rng = self.rng
@@ -56,6 +67,37 @@ def freivalds_lambda(q, n, eps):
     n = max(n, 2)
     target = 3.0 * n * math.log2(n) / eps
     return max(1, math.ceil(math.log(target) / math.log(q)))
+
+
+# Scalar work of one bad column in a recovery round (Berlekamp-Massey, the
+# locator sweep, the value solve and the re-check), in dense multiply-adds.
+_COLUMN_COST = 2 ** 14
+
+
+def dense_cheaper(q, eps, m, n, ell, c=None, k_left=0):
+    """Whether one dense solve of R T = H costs no more than the sparse path.
+
+    R is m-by-n, T is n-by-n and H has inner dimension ell; costs count
+    multiply-adds.  The dense path evaluates H and solves against T:
+    m n (ell + n).  Without a column count the sparse side is one projection
+    round with lam = freivalds_lambda(q, n, eps) rows, lam (mn + n^2 +
+    ell (m + n)).  With c > 0 bad columns and k_left errors still expected,
+    it adds that round's recovery: the Vandermonde projection and residual,
+    2s (mn + m ell + c (ell + n)) with s = ceil(2 max(k_left, c) / c), and
+    c times _COLUMN_COST for the scalar per-column work.
+
+    _COLUMN_COST = 2^14 comes from a one-thread microbenchmark (OpenBLAS
+    0.3.31, numpy 2.4.6): recovering one column with s = 2 took 60-140 us
+    at GF(65537), GF(2^31 - 1) and GF(7^3), and the dense path took 2-7 ns
+    per multiply-add at m = n = ell = 32..64, the strip sizes at which the
+    switch happens on small fields (0.2-0.8 ns at 128 and above); their
+    ratio spans 2^13 to 2^16.
+    """
+    sparse = freivalds_lambda(q, n, eps) * (m * n + n * n + ell * (m + n))
+    if c is not None:
+        s = -(-2 * max(k_left, c) // c)
+        sparse += 2 * s * (m * n + m * ell + c * (ell + n)) + c * _COLUMN_COST
+    return m * n * (ell + n) <= sparse
 
 
 def iteration_cap(m, n):
@@ -118,24 +160,11 @@ def _trsm_ec_right(R, H, T, params):
     T.check_invertible()
 
     ell = H.inner
-    lam0 = freivalds_lambda(R.ctx.q, n, params.eps)
-    if m * n * (ell + n) <= lam0 * (m * n + n * n + ell * (m + n)):
+    if dense_cheaper(R.ctx.q, params.eps, m, n, ell):
         # narrow system: evaluating H densely and checking R T = H costs no
         # more than one projection round, so correct deterministically
-        Hd = H.dense().a
-        Z = T.mul_right(R.a)
         rep.rounds = 1
-        if not np.array_equal(Z, Hd):
-            X = Hd.copy()
-            T.solve_right(X)
-            diff = np.nonzero(X != R.a)
-            rep.correcting_rounds = 1
-            rep.corrected = len(diff[0])
-            rep.positions.extend(zip((int(r) for r in diff[0]),
-                                     (int(c) for c in diff[1])))
-            R.a[diff] = X[diff]
-        rep.verified = True
-        rep.dense_verified = True
+        _dense_solve(R, H, T, rep, check=True)
         rep.wall_time = time.perf_counter() - t0
         return rep
 
@@ -191,6 +220,14 @@ def _trsm_ec_right(R, H, T, params):
         c_prev = c
         if c == 0:
             break
+        if dense_cheaper(ctx.q, params.eps, m, n, ell, c, k_guess - k_done):
+            # the dense result overwrites whatever is still pending; R first
+            # takes the commits so far when they live in a separate lifted copy
+            if Ra is not R.a:
+                R.a[...] = ff.coerce_down(base, ctx, Ra)
+            _dense_solve(R, H, T, rep)
+            rep.wall_time = time.perf_counter() - t0
+            return rep
         rep.correcting_rounds += 1
         if tab is None:
             tab = ff.element_of_order_at_least(ctx, m, rng=rng)
@@ -210,6 +247,27 @@ def _trsm_ec_right(R, H, T, params):
         R.a[...] = ff.coerce_down(base, ctx, Ra)
     rep.wall_time = time.perf_counter() - t0
     return rep
+
+
+def _dense_solve(R, H, T, rep, check=False):
+    """Correct R in place to H T^-1, solved densely in R's own field.
+
+    Only the entries that differ are written; they join rep.positions in
+    R's coordinates, and rep.corrected counts those positions.  With check,
+    a clean R (R T = H) is confirmed by one product and left alone, without
+    the solve.
+    """
+    X = H.dense().a
+    rep.verified = True
+    rep.dense_verified = True
+    if check and np.array_equal(T.mul_right(R.a), X):
+        return
+    T.solve_right(X)
+    diff = np.nonzero(X != R.a)
+    rep.correcting_rounds += 1
+    rep.positions.extend(zip(diff[0].tolist(), diff[1].tolist()))
+    rep.corrected = len(rep.positions)
+    R.a[diff] = X[diff]
 
 
 def _projected_gap(ctx, W, H, Ra, pending, T):

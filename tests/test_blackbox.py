@@ -62,10 +62,11 @@ def test_selected_projection_cases():
     H = BlackboxRHS(C=C, A=A, B=B)
     V = rand_mat(F7, 3, 4, rng)
     full = H.project_left(V).a
-    assert np.array_equal(H.project_left_selected(V, list(range(6))).a, full)
-    assert H.project_left_selected(V, []).a.shape == (3, 0)
+    assert np.array_equal(H.select_cols(list(range(6))).project_left(V).a,
+                          full)
+    assert H.select_cols([]).project_left(V).a.shape == (3, 0)
     J = [0, 4, 5]
-    assert np.array_equal(H.project_left_selected(V, J).a, full[:, J])
+    assert np.array_equal(H.select_cols(J).project_left(V).a, full[:, J])
 
 
 def test_projection_linearity():

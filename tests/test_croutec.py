@@ -247,6 +247,38 @@ def test_rect_and_rankdef_reduce_unreduced_entries(p):
     assert np.array_equal(L.a, L0.a) and np.array_equal(U.a, U0.a)
 
 
+_PATTERNS = {
+    "row": np.s_[70, :],
+    "col": np.s_[:, 70],
+    "block": np.s_[48:80, 40:72],
+    "diag": (np.arange(128), np.arange(128)),
+}
+
+
+@pytest.mark.parametrize("ctx", [F7, FBIG], ids=["gf7", "65537"])
+@pytest.mark.parametrize("pattern", sorted(_PATTERNS))
+def test_croutec_structured_errors(ctx, pattern):
+    # whole wrong rows, columns and blocks and a zeroed U diagonal at
+    # n = 128; a wrong row or column leaves strips with many bad columns or
+    # many errors in one column, which a strip corrector ends with a dense
+    # solve after a projected round (lam > 0)
+    rng = np.random.default_rng(13)
+    A, L0, U0 = make_grp_instance(ctx, 128, rng)
+    truth = PackedLU.pack(L0, U0).mat.a
+    P = PackedLU.pack(L0.copy(), U0.copy())
+    idx = _PATTERNS[pattern]
+    if pattern == "diag":
+        P.mat.a[idx] = 0
+    else:
+        sub = P.mat.a[idx]
+        P.mat.a[idx] = ctx.add(sub, ctx.rand_nonzero(rng, sub.shape))
+    _, rep = crout_ec(P, A, TrsmEcParams(0.05, seed=4))
+    assert np.array_equal(P.mat.a, truth)
+    if pattern in ("row", "col"):
+        assert any(leaf.stage.startswith("trsmec") and leaf.dense_verified
+                   and leaf.lam > 0 for leaf in rep.iter_leaves())
+
+
 def test_croutec_report_leaves_named_and_timed():
     # clean n = 64: each leaf is a dense block check or a projection check
     # of a strip, and each one reports its own time

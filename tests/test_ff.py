@@ -193,14 +193,6 @@ def test_coerce_down_noncontiguous_input():
     assert np.array_equal(back, a)
 
 
-def test_inv_vec_matches_scalar():
-    for ctx in (make_prime_field(13), make_ext_field(3, 2)):
-        a = np.arange(1, ctx.q, dtype=np.int64).reshape(-1, 1)
-        out = ctx.inv_vec(a)
-        for i, x in enumerate(a[:, 0]):
-            assert out[i, 0] == ctx.sinv(int(x))
-
-
 def test_op_counter_moves():
     ff.reset_op_count()
     before = ff.op_count()

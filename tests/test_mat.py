@@ -6,8 +6,7 @@ import pytest
 from eclu import mat
 from eclu.ff import make_prime_field
 from eclu.mat import (DimensionError, Mat, PackedLU, SingularMatrixError, Tri,
-                      col_support, multiply, nnz, scatter_cols, select_cols,
-                      select_rows_cols, trsm)
+                      multiply, nnz, trsm)
 
 F5 = make_prime_field(5)
 F7 = make_prime_field(7)
@@ -102,17 +101,6 @@ def test_trsm_singular_rejected():
         trsm("upper", "right", T, B)
 
 
-def test_col_support_cases():
-    assert list(col_support(Mat.zeros(F7, 3, 4))) == []
-    M = Mat.zeros(F7, 4, 8)
-    M.a[2, 5] = 3
-    assert list(col_support(M)) == [5]
-    rng = np.random.default_rng(6)
-    S = Mat(F7, (F7.rand(rng, (10, 20)) * (F7.rand(rng, (10, 20)) == 1)))
-    brute = [j for j in range(20) if np.any(S.a[:, j])]
-    assert list(col_support(S)) == brute
-
-
 def test_nnz_cases():
     assert nnz(Mat.zeros(F7, 5, 5)) == 0
     assert nnz(Mat.identity(F7, 6)) == 6
@@ -122,29 +110,6 @@ def test_nnz_cases():
     for (i, j) in pos:
         M.a[i, j] = 1 + int(rng.integers(0, 6))
     assert nnz(M) == len(pos)
-
-
-def test_select_cols_and_principal():
-    U = Mat(F7, [[1, 2], [0, 3]])
-    assert select_rows_cols(U, [1]).a.tolist() == [[3]]
-    rng = np.random.default_rng(8)
-    M = rand_mat(F7, 4, 7, rng)
-    assert np.array_equal(select_cols(M, list(range(7))).a, M.a)
-    J = [1, 3, 6]
-    S = select_cols(M, J)
-    back = scatter_cols(S, J, 7)
-    assert np.array_equal(select_cols(back, J).a, S.a)
-
-
-def test_scatter_cols_cases():
-    S = Mat(F7, [[1], [2]])
-    out = scatter_cols(S, [2], 4)
-    assert out.a.tolist() == [[0, 0, 1, 0], [0, 0, 2, 0]]
-    empty = scatter_cols(Mat.zeros(F7, 2, 0), [], 4)
-    assert np.array_equal(empty.a, np.zeros((2, 4), dtype=np.int64))
-    rng = np.random.default_rng(9)
-    M = rand_mat(F7, 3, 5, rng)
-    assert np.array_equal(scatter_cols(M, list(range(5)), 5).a, M.a)
 
 
 def test_tri_cols_and_principal_masking():

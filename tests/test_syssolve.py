@@ -81,6 +81,22 @@ def test_tr_inv_random_and_oracle(k):
         assert np.array_equal(R2.a, R.a)
 
 
+@pytest.mark.parametrize("ctx", [F7, FBIG], ids=["gf7", "65537"])
+def test_tr_inv_full_row_goes_dense(ctx):
+    # a whole wrong row of the inverse candidate makes a dense solve cheaper
+    # than recovering n columns; over GF(7) the loop runs lifted
+    rng = np.random.default_rng(14)
+    U = rand_upper(ctx, 48, rng)
+    truth = upper_inverse(ctx, U)
+    R = Mat(ctx, truth.a.copy())
+    R.a[5, 5:] = ctx.add(R.a[5, 5:], ctx.rand_nonzero(rng, (43,)))
+    rep = tr_inv_ec(R, U, TrsmEcParams(0.05, seed=3))
+    assert np.array_equal(R.a, truth.a)
+    assert rep.dense_verified and rep.lam > 0
+    assert sorted(rep.positions) == [(5, j) for j in range(5, 48)]
+    assert rep.corrected == 43
+
+
 def test_solve_small_hand_gf5():
     A = Mat(F5, [[2, 1], [4, 4]])
     B = Mat(F5, [[1, 0]])

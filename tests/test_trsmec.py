@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from eclu import croutec, syssolve, trsmec
 from eclu.blackbox import BlackboxRHS
-from eclu.ff import make_prime_field
-from eclu.mat import Mat, Tri, multiply
-from eclu.trsmec import (TrsmEcParams, _projected_gap, freivalds_lambda,
-                         trsm_ec_lower_left, trsm_ec_lower_right,
-                         trsm_ec_upper_left, trsm_ec_upper_right)
+from eclu.croutec import crout_ec, make_grp_instance
+from eclu.ff import make_ext_field, make_prime_field
+from eclu.mat import Mat, PackedLU, Tri, multiply
+from eclu.syssolve import tr_inv_ec
+from eclu.trsmec import (TrsmEcParams, _projected_gap, dense_cheaper,
+                         freivalds_lambda, trsm_ec_lower_left,
+                         trsm_ec_lower_right, trsm_ec_upper_left,
+                         trsm_ec_upper_right)
 
 F7 = make_prime_field(7)
 FBIG = make_prime_field(65537)
@@ -228,3 +232,97 @@ def test_unreduced_entries_are_reduced(p):
         assert rep.verified and np.array_equal(R.a, truth)
         assert all(np.array_equal(x, y) for x, y in
                    zip(before, [H.C.a, H.A.a, T.a]))
+
+
+_SHAPES = [(m, n, ell) for m in (1, 3, 8, 32, 100, 512)
+           for n in (1, 2, 8, 33, 128, 1024) for ell in (0, 1, 16, 300)]
+
+
+def test_dense_cheaper_without_columns_is_the_narrow_system_test():
+    # the one-round comparison that selected the narrow-system branch
+    for q, eps in ((2, 0.05), (7, 0.0125), (343, 0.25), (65537, 2.0 ** -20),
+                   (2 ** 31 - 1, 0.05)):
+        for m, n, ell in _SHAPES:
+            lam = freivalds_lambda(q, n, eps)
+            old = m * n * (ell + n) <= lam * (m * n + n * n + ell * (m + n))
+            assert dense_cheaper(q, eps, m, n, ell) == old
+
+
+def test_dense_cheaper_monotone_in_columns_and_errors_left():
+    # once c reaches k_left, s no longer depends on the guess and each extra
+    # bad column only adds sparse work; more errors left never favour sparse
+    for q, eps in ((343, 0.0125), (65537, 0.05)):
+        for m, n, ell in _SHAPES:
+            for k_left in (0, 1, 8, 100):
+                seq = [dense_cheaper(q, eps, m, n, ell, c, k_left)
+                       for c in range(max(k_left, 1), n + 1)]
+                assert seq == sorted(seq)
+            for c in (1, 5, n):
+                seq = [dense_cheaper(q, eps, m, n, ell, c, k_left)
+                       for k_left in range(0, 4 * n * m + 1, max(1, n))]
+                assert seq == sorted(seq)
+            # any bad column adds recovery work to the one-round cost
+            if dense_cheaper(q, eps, m, n, ell):
+                assert dense_cheaper(q, eps, m, n, ell, 1, 0)
+
+
+def test_dense_cheaper_never_asked_about_a_clean_round(monkeypatch):
+    calls = []
+
+    def spy(q, eps, m, n, ell, c=None, k_left=0):
+        calls.append(c)
+        return dense_cheaper(q, eps, m, n, ell, c, k_left)
+
+    for mod in (trsmec, croutec, syssolve):
+        monkeypatch.setattr(mod, "dense_cheaper", spy)
+    rng = np.random.default_rng(21)
+    for k in (0, 3, 40):
+        R, H, U = make_right_instance(FBIG, 40, 48, 8, rng)
+        corrupt(FBIG, R, k, rng)
+        trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=k))
+        A, L0, U0 = make_grp_instance(F7, 48, rng)
+        P = PackedLU.pack(L0.copy(), U0.copy())
+        corrupt(F7, P.mat, k, rng)
+        crout_ec(P, A, TrsmEcParams(0.05, seed=k))
+        assert np.array_equal(P.mat.a, PackedLU.pack(L0, U0).mat.a)
+        U = rand_tri(FBIG, 32, "upper", rng)
+        Rinv = Mat.identity(FBIG, 32)
+        U.solve_right(Rinv.a)
+        corrupt(FBIG, Rinv, k, rng)
+        tr_inv_ec(Rinv, U, TrsmEcParams(0.05, seed=k))
+    assert None in calls and all(c is None or c > 0 for c in calls)
+    assert any(c is not None for c in calls)
+
+
+def _spoil(ctx, a, idx, rng):
+    """Add a nonzero delta to every entry a[idx]; returns their positions."""
+    sub = a[idx]
+    a[idx] = ctx.add(sub, ctx.rand_nonzero(rng, sub.shape))
+    mask = np.zeros(a.shape, dtype=bool)
+    mask[idx] = True
+    return set(zip(*(x.tolist() for x in np.nonzero(mask))))
+
+
+@pytest.mark.parametrize("ctx", [F7, make_ext_field(2, 2), FBIG],
+                         ids=["gf7", "gf4", "65537"])
+@pytest.mark.parametrize("pattern", ["row", "col"])
+def test_full_row_or_column_goes_dense(ctx, pattern):
+    # a whole wrong row gives n bad columns, a whole wrong column one bad
+    # column with m errors; either way a dense solve ends the loop (lam > 0:
+    # after a projected round), and the report lists each wrong entry once,
+    # also over GF(7) and GF(4), where the loop runs in a lifted field.  The
+    # column case adds single errors that are committed before the solve.
+    rng = np.random.default_rng(22)
+    R, H, U = make_right_instance(ctx, 96, 64, 32, rng)
+    truth = R.a.copy()
+    if pattern == "row":
+        wrong = _spoil(ctx, R.a, np.s_[40, :], rng)
+    else:
+        wrong = _spoil(ctx, R.a, np.s_[:, 17], rng)
+        wrong |= _spoil(ctx, R.a, ([3, 50, 7], [2, 30, 60]), rng)
+    rep = trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=3))
+    assert np.array_equal(R.a, truth)
+    assert rep.dense_verified and rep.lam > 0
+    assert rep.extended == (ctx.q < 96)
+    assert set(rep.positions) == wrong
+    assert rep.corrected == len(rep.positions) == len(wrong)
