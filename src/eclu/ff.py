@@ -92,10 +92,6 @@ class FieldCtx:
     q = None
     modulus = None
 
-    @property
-    def is_prime_field(self):
-        return self.nu == 1
-
     def rand(self, rng, shape=None):
         """Uniform sample over all q elements (zero included)."""
         out = rng.integers(0, self.q, size=shape, dtype=np.int64)

@@ -7,24 +7,19 @@ Two pipelines for X.A = B with A square invertible GRP:
  - large right-hand side: correct the LU factors, then a candidate for
    U^{-1}, then X directly against the unevaluated product B.U^{-1}.
 
+Correcting the candidate inverse R is correcting R.U = I, with the identity
+as a blackbox right-hand side.
+
 Each stage gets a third of the failure budget.
 """
 
-import math
-import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import ff
 from .blackbox import BlackboxRHS
 from .croutec import crout_ec
-from .mat import DimensionError, Mat, PackedLU, Tri
+from .mat import DimensionError, Mat, PackedLU
 from .report import CorrectionReport
-from .sparseint import apply_vandermonde, batch_interpolate, vandermonde_cols
-from .trsmec import (MonteCarloFailure, TrsmEcParams, _dense_solve,
-                     dense_cheaper, freivalds_lambda, iteration_cap,
-                     trsm_ec_lower_right, trsm_ec_upper_right)
+from .trsmec import TrsmEcParams, trsm_ec_lower_right, trsm_ec_upper_right
 
 
 @dataclass
@@ -112,108 +107,19 @@ def solve_large_rhs(bundle, params=None):
 def tr_inv_ec(R, U, params):
     """Correct R in place toward U^{-1}; returns a report.
 
-    U is upper triangular and invertible.  Erroneous columns are located by
-    comparing a random left projection of U^{-1} (obtained by triangular
-    solves against U) with the same projection of R; the selected error
-    block (I - R.U) P (P^T U P)^{-1} is recovered by sparse interpolation.
-    No independent-column selection is needed since U is triangular.
+    U is upper triangular and invertible.  The inverse is the correction of
+    R.U = I, with the identity as a blackbox right-hand side, so R goes
+    through the same locate / recover / commit loop as every other
+    triangular solve.
     """
-    t0 = time.perf_counter()
     if not isinstance(params, TrsmEcParams):
         params = TrsmEcParams(params)
-    U = U if isinstance(U, Tri) else Tri(U, "upper")
-    n = U.n
+    n = U.a.shape[0]
     if R.shape != (n, n):
         raise DimensionError("candidate inverse must match U")
-    # the candidate is reduced in place, the input through a reduced copy
-    R.ctx.canonical(R.a, in_place=True)
-    U = U.with_ctx(U.ctx, R.ctx.canonical(U.a))
-    rep = CorrectionReport(stage="tr_inv_ec", epsilon=params.eps,
-                           seed=params.seed)
-    if n == 0:
-        rep.verified = True
-        return rep
-    U.check_invertible()
-
-    base = R.ctx
-    ctx = base
-    if n >= base.q:
-        ctx = ff.extend_field(base, n)
-        rep.extended = True
-        rep.ext_degree = ctx.nu // base.nu
-    Ra = ff.embed_up(base, ctx, R.a) if ctx is not base else R.a
-    Ux = U if ctx is base else U.with_ctx(ctx, ff.embed_up(base, ctx, U.a))
-
-    rng = params.generator()
-    lam = freivalds_lambda(ctx.q, n, params.eps)
-    rep.lam = lam
-    cap = iteration_cap(n, n)
-    tab = None
-
-    k_guess = 1
-    k_done = 0
-    c_prev = 2 * n
-    pending = {}
-
-    while True:
-        rep.rounds += 1
-        if rep.rounds > cap:
-            raise MonteCarloFailure(
-                "inverse correction did not converge within %d rounds" % cap)
-        W = ctx.rand(rng, (lam, n))
-        WR = ctx.matmul(W, Ra)
-        for j, (ri, rv) in pending.items():
-            we = ctx.matmul(W[:, ri], rv.reshape(-1, 1))[:, 0]
-            WR[:, j] = ctx.add(WR[:, j], we)
-        # W = W (R+E) U iff W U^{-1} - W (R+E) = 0, avoiding the solve on
-        # clean rounds
-        if np.array_equal(W, Ux.mul_right(WR)):
-            bad = np.empty(0, dtype=np.intp)
-        else:
-            X = W.copy()
-            Ux.solve_right(X)  # X = W U^{-1}, one solve per projection row
-            resid = ctx.sub(X, WR)
-            bad = np.nonzero(resid.any(axis=0))[0]
-        c = len(bad)
-        bad_set = set(int(j) for j in bad)
-        for j, (ri, rv) in pending.items():
-            if j in bad_set:
-                continue
-            Ra[ri, j] = ctx.add(Ra[ri, j], rv)
-            k_done += len(ri)
-            rep.positions.extend((int(r), int(j)) for r in ri)
-        pending = {}
-        if c > c_prev / 2:
-            k_guess = max(2 * k_guess, c)
-        c_prev = c
-        if c == 0:
-            break
-        if dense_cheaper(ctx.q, params.eps, n, n, 0, c, k_guess - k_done):
-            # R = I U^-1 by one dense solve, as in trsmec's loop
-            if Ra is not R.a:
-                R.a[...] = ff.coerce_down(base, ctx, Ra)
-            _dense_solve(R, BlackboxRHS(C=Mat.identity(base, n)), U, rep)
-            rep.wall_time = time.perf_counter() - t0
-            return rep
-        rep.correcting_rounds += 1
-        if tab is None:
-            tab = ff.element_of_order_at_least(ctx, n, rng=rng)
-        s = min(n, max(1, math.ceil(2 * (k_guess - k_done) / c)))
-        # V (I - R U) P, then divide out P^T U P on the right
-        G = vandermonde_cols(ctx, tab, 2 * s, bad)
-        VR = apply_vandermonde(ctx, tab, 2 * s, Ra)
-        G = ctx.sub(G, ctx.matmul(VR, Ux.cols(bad).a))
-        Ux.principal(bad).solve_right(G)
-        for j, col in zip(bad, batch_interpolate(ctx, G, s, tab)):
-            if col is not None and col.indices:
-                pending[int(j)] = (np.array(col.indices, dtype=np.intp),
-                                   np.array(col.values, dtype=np.int64))
-
-    rep.verified = True
-    rep.corrected = k_done
-    if ctx is not base:
-        R.a[...] = ff.coerce_down(base, ctx, Ra)
-    rep.wall_time = time.perf_counter() - t0
+    rep = trsm_ec_upper_right(R, BlackboxRHS(C=Mat.identity(R.ctx, n)), U,
+                              params)
+    rep.stage = "tr_inv_ec"
     return rep
 
 

@@ -171,7 +171,8 @@ def test_cli_bench_writes_csv(tmp_path):
     out = str(tmp_path / "bench.csv")
     assert main(["bench", "--field", "65537", "--n", "32",
                  "--errors", "0,2", "--reps", "2", "--out", out]) == 0
-    lines = open(out).read().strip().splitlines()
+    with open(out) as f:
+        lines = f.read().strip().splitlines()
     assert lines[0].startswith("workload,n,k")
     assert len(lines) == 4  # header + reference + two k rows
 

@@ -60,8 +60,23 @@ def test_tr_inv_clean():
 def test_tr_inv_hand_gf7():
     U = Tri(Mat(F7, [[1, 2], [0, 3]]), "upper")
     R = Mat(F7, [[1, 0], [0, 5]])  # true inverse is [[1,4],[0,5]]
-    tr_inv_ec(R, U, TrsmEcParams(0.05, seed=2))
+    rep = tr_inv_ec(R, U, TrsmEcParams(0.05, seed=2))
     assert R.a.tolist() == [[1, 4], [0, 5]]
+    # a system this narrow is checked and solved densely, without projection
+    assert rep.dense_verified
+    assert rep.lam == 0
+    assert rep.stage == "tr_inv_ec"
+
+
+def test_tr_inv_rejects_lower_triangle():
+    # R.L = I for a lower L is not the inverse this corrector promises
+    rng = np.random.default_rng(4)
+    L = rand_upper(FBIG, 24, rng).T
+    R = Mat(FBIG, FBIG.rand(rng, (24, 24)))
+    orig = R.a.copy()
+    with pytest.raises(ValueError):
+        tr_inv_ec(R, L, TrsmEcParams(0.05, seed=5))
+    assert np.array_equal(R.a, orig)
 
 
 @pytest.mark.parametrize("k", [1, 16, 200])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eclu import croutec, syssolve, trsmec
+from eclu import croutec, trsmec
 from eclu.blackbox import BlackboxRHS
 from eclu.croutec import crout_ec, make_grp_instance
 from eclu.ff import make_ext_field, make_prime_field
@@ -273,7 +273,7 @@ def test_dense_cheaper_never_asked_about_a_clean_round(monkeypatch):
         calls.append(c)
         return dense_cheaper(q, eps, m, n, ell, c, k_left)
 
-    for mod in (trsmec, croutec, syssolve):
+    for mod in (trsmec, croutec):
         monkeypatch.setattr(mod, "dense_cheaper", spy)
     rng = np.random.default_rng(21)
     for k in (0, 3, 40):
