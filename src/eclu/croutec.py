@@ -4,7 +4,10 @@ and rank-deficient wrappers.
 The Crout schedule computes each entry of L and U directly from the original
 input and previously finished factors, which is exactly what lets the
 error-correcting variant replace the two inner triangular solves by
-blackbox corrections without ever forming an intermediate product.
+blackbox corrections without ever forming an intermediate product.  The
+corrector checks each small diagonal block densely, recomputing it when
+wrong, and sends each strip through the triangular correction loop; every
+report leaf holds its positions in the packed matrix's coordinates.
 """
 
 import time
@@ -14,17 +17,16 @@ import numpy as np
 from .blackbox import BlackboxRHS
 from .mat import DimensionError, Mat, PackedLU, Tri
 from .report import CorrectionReport
-from .trsmec import (TrsmEcParams, dense_cheaper, trsm_ec_lower_left,
+from .trsmec import (TrsmEcParams, correction_loop, trsm_ec_lower_left,
                      trsm_ec_upper_right)
 
 
 class GrpViolation(ValueError):
-    """Zero pivot met while the input was asserted invertible with GRP."""
+    """Zero pivot, at position index, met where the input was asserted GRP."""
 
-
-class _RankStop(Exception):
-    def __init__(self, rank):
-        self.rank = rank
+    def __init__(self, index):
+        super().__init__("zero pivot at index %d" % index)
+        self.index = index
 
 
 def crout_reference(A):
@@ -46,7 +48,7 @@ def _crout(ctx, M, A, n1, nrest):
     if nrest == 1:
         piv = ctx.ssub(int(A[n1, n1]), ctx.dot(M[n1, :n1], M[:n1, n1]))
         if piv == 0:
-            raise GrpViolation("zero pivot at index %d" % n1)
+            raise GrpViolation(n1)
         M[n1, n1] = piv
         return
     n2 = (nrest + 1) // 2
@@ -69,6 +71,7 @@ def crout_ec(packed, A, params):
     above it; on success it is overwritten with the true factors and
     Pr[A = L.U] >= 1 - eps.  Returns (packed, report); the report's
     wall_time covers the whole call, its lam is the largest of its stages.
+    Raises GrpViolation when A has a zero pivot.
     """
     t0 = time.perf_counter()
     params = TrsmEcParams.with_generator(params)
@@ -77,121 +80,75 @@ def crout_ec(packed, A, params):
     rep = CorrectionReport(stage="croutec", epsilon=params.eps,
                            seed=params.seed)
     ctx = A.ctx
-    # the candidate is reduced in place, the input through a reduced copy
+    # the only range checks: the candidate in place, the input by a copy
     ctx.canonical(packed.mat.a, in_place=True)
-    _crout_ec(ctx, packed.mat.a, ctx.canonical(A.a), 0, A.rows, params.eps,
-              params, rep, rank_mode=False)
-    rep.verified = all(c.verified for c in rep.children) if rep.children else True
+    _crout_ec(ctx, packed.mat.a, ctx.canonical(A.a), 0, A.rows, params, rep)
+    rep.verified = all(c.verified for c in rep.children)
     rep.wall_time = time.perf_counter() - t0
     return packed, rep
 
 
-def _crout_ec(ctx, M, A, n1, nrest, eps, params, rep, rank_mode):
-    if nrest == 0:
-        return
-    if nrest == 1:
-        i = n1
-        piv = ctx.ssub(int(A[i, i]), ctx.dot(M[i, :i], M[:i, i]))
-        if piv == 0:
-            if rank_mode:
-                raise _RankStop(i)
-            raise GrpViolation("zero pivot at index %d" % i)
-        M[i, i] = piv  # recomputed from scratch: the diagonal must be correct
-        return
+def _crout_ec(ctx, M, A, n1, nrest, params, rep):
     if nrest <= _BLOCK_CHECK:
-        sub = _dense_block(ctx, M, A, n1, nrest, eps)
-        if sub is not None:
-            rep.add_child(sub)
-            return
+        rep.add_child(_dense_block(ctx, M, A, n1, nrest, params.eps))
+        return
     n2 = (nrest + 1) // 2
     n3 = nrest - n2
-    _crout_ec(ctx, M, A, n1, n2, eps / 4, params, rep, rank_mode)
+    quarter = params.child(params.eps / 4)
+    _crout_ec(ctx, M, A, n1, n2, quarter, rep)
     r1 = slice(0, n1)
     r2 = slice(n1, n1 + n2)
     r3 = slice(n1 + n2, n1 + nrest)
-    # narrow strips that the triangular corrector would check densely are
-    # checked here, skipping the operand wrapping
-    fast = dense_cheaper(ctx.q, eps / 4, n3, n2, n1)
-    sub = _dense_strip(ctx, M, A, r1, r2, r3, "u", eps / 4) if fast else None
-    if sub is None:
-        # correct U23 against L22 . U23 = A23 - L21 . U13 (right side
-        # unevaluated)
-        H_u = BlackboxRHS(C=Mat(ctx, A[r2, r3]),
-                          A=Mat(ctx, M[r2, r1]), B=Mat(ctx, M[r1, r3]))
-        L22 = Tri(Mat(ctx, M[r2, r2]), "lower", unit=True)
-        sub = trsm_ec_lower_left(Mat(ctx, M[r2, r3]), H_u, L22,
-                                 params.child(eps / 4))
+    # U23 from L22 . U23 = A23 - L21 . U13 (right side unevaluated),
+    # corrected as its transpose U23^T . L22^T = H^T
+    H_u = BlackboxRHS(C=Mat(ctx, A[r2, r3]),
+                      A=Mat(ctx, M[r2, r1]), B=Mat(ctx, M[r1, r3]))
+    L22 = Tri(Mat(ctx, M[r2, r2]), "lower", unit=True)
+    sub = correction_loop(Mat(ctx, M[r2, r3]).T, H_u.T, L22.T, quarter,
+                          "trsmec_lower_left")
+    sub.positions = [(n1 + c, n1 + n2 + r) for r, c in sub.positions]
     rep.add_child(sub)
-    sub = _dense_strip(ctx, M, A, r1, r2, r3, "l", eps / 4) if fast else None
-    if sub is None:
-        # correct L32 against L32 . U22 = A32 - L31 . U12
-        H_l = BlackboxRHS(C=Mat(ctx, A[r3, r2]),
-                          A=Mat(ctx, M[r3, r1]), B=Mat(ctx, M[r1, r2]))
-        U22 = Tri(Mat(ctx, M[r2, r2]), "upper")
-        sub = trsm_ec_upper_right(Mat(ctx, M[r3, r2]), H_l, U22,
-                                  params.child(eps / 4))
+    # L32 from L32 . U22 = A32 - L31 . U12
+    H_l = BlackboxRHS(C=Mat(ctx, A[r3, r2]),
+                      A=Mat(ctx, M[r3, r1]), B=Mat(ctx, M[r1, r2]))
+    U22 = Tri(Mat(ctx, M[r2, r2]), "upper")
+    sub = correction_loop(Mat(ctx, M[r3, r2]), H_l, U22, quarter,
+                          "trsmec_upper_right")
+    sub.positions = [(n1 + n2 + r, n1 + c) for r, c in sub.positions]
     rep.add_child(sub)
-    _crout_ec(ctx, M, A, n1 + n2, n3, eps / 4, params, rep, rank_mode)
+    _crout_ec(ctx, M, A, n1 + n2, n3, quarter, rep)
 
 
-# subtree size up to which a clean block is confirmed by one dense check
+# largest diagonal block that is checked, and recomputed when wrong, densely
 _BLOCK_CHECK = 16
 
 
 def _dense_block(ctx, M, A, n1, ns, eps):
-    """One-shot deterministic check of a small trailing-diagonal block.
+    """Deterministic check of a small diagonal block; recomputes it if wrong.
 
     By the elimination order every column left of n1 is already final, so
     B = A - (L prefix).(U prefix) restricted to the block is exact, and
     L_b . U_b = B with a nonzero U_b diagonal determines both factors
-    uniquely.  Returns None (caller recurses normally) on any mismatch, on
-    a zero diagonal entry, or in general whenever the block needs work.
+    uniquely.  A failed block is recomputed by _crout in M itself, so that
+    every entry before a zero pivot is final when GrpViolation is raised,
+    and the entries that changed are reported as one correcting round.
     """
     t0 = time.perf_counter()
+    rep = CorrectionReport(stage="dense_block", epsilon=eps, rounds=1,
+                           verified=True, dense_verified=True)
     s = slice(n1, n1 + ns)
-    Ms = Mat(ctx, M[s, s])
-    if not Ms.a.diagonal().all():
-        return None
+    Ms = M[s, s]
     B = ctx.sub(A[s, s], ctx.matmul(M[s, :n1], M[:n1, s]))
-    Lb = Tri(Ms, "lower", unit=True).dense().a
-    if not np.array_equal(Tri(Ms, "upper").mul_right(Lb), B):
-        return None
-    return _dense_report("dense_block", eps, t0)
-
-
-def _dense_strip(ctx, M, A, r1, r2, r3, which, eps):
-    """Dense check of one already-correct strip; None on any mismatch.
-
-    which is "u" for the U strip (L22 . U23 = A23 - L21 . U13) and "l" for
-    the L strip (L32 . U22 = A32 - L31 . U12).  Falls back to the full
-    corrector (by returning None) as soon as the strip disagrees with its
-    defining equation, so only the clean case is handled here.  The result
-    is the same deterministic verification the dense path of the
-    triangular corrector performs.
-    """
-    t0 = time.perf_counter()
-    D = Mat(ctx, M[r2, r2])
-    if which == "u":
-        H = ctx.sub(A[r2, r3], ctx.matmul(M[r2, r1], M[r1, r3]))
-        Z = ctx.matmul(Tri(D, "lower", unit=True).dense().a, M[r2, r3])
-    else:
-        # U22 must be invertible for R U22 = H to pin R down
-        if not D.a.diagonal().all():
-            return None
-        H = ctx.sub(A[r3, r2], ctx.matmul(M[r3, r1], M[r1, r2]))
-        Z = Tri(D, "upper").mul_right(M[r3, r2])
-    if not np.array_equal(Z, H):
-        return None
-    return _dense_report("dense_strip_" + which, eps, t0)
-
-
-def _dense_report(stage, eps, t0):
-    sub = CorrectionReport(stage=stage, epsilon=eps)
-    sub.rounds = 1
-    sub.verified = True
-    sub.dense_verified = True
-    sub.wall_time = time.perf_counter() - t0
-    return sub
+    LU = ctx.matmul(np.tril(Ms, -1) + np.eye(ns, dtype=np.int64), np.triu(Ms))
+    if not (Ms.diagonal().all() and np.array_equal(LU, B)):
+        before = Ms.copy()
+        _crout(ctx, M, A, n1, ns)
+        rows, cols = np.nonzero(Ms != before)
+        rep.positions = list(zip((rows + n1).tolist(), (cols + n1).tolist()))
+        rep.corrected = len(rep.positions)
+        rep.correcting_rounds = 1
+    rep.wall_time = time.perf_counter() - t0
+    return rep
 
 
 def rect_ec(A, packed, U2, params):
@@ -248,11 +205,11 @@ def rank_deficient_ec(A, L_cand, U_cand, params):
 
     sub = CorrectionReport(stage="croutec", epsilon=params.eps / 3)
     try:
-        _crout_ec(ctx, M, A.a[:d, :d], 0, d, params.eps / 3,
-                  params.child(params.eps / 3), sub, rank_mode=True)
+        _crout_ec(ctx, M, A.a[:d, :d], 0, d, params.child(params.eps / 3),
+                  sub)
         r = d
-    except _RankStop as stop:
-        r = stop.rank
+    except GrpViolation as stop:
+        r = stop.index
     sub.verified = all(c.verified for c in sub.children) if sub.children else True
     rep.add_child(sub)
 

@@ -112,8 +112,6 @@ def tr_inv_ec(R, U, params):
     through the same locate / recover / commit loop as every other
     triangular solve.
     """
-    if not isinstance(params, TrsmEcParams):
-        params = TrsmEcParams(params)
     n = U.a.shape[0]
     if R.shape != (n, n):
         raise DimensionError("candidate inverse must match U")

@@ -109,24 +109,28 @@ def trsm_ec_upper_right(R, H, U, params):
     """Correct R in place so that R.U = H, with probability >= 1 - eps.
 
     R is m-by-n, H an m-by-n BlackboxRHS, U an invertible upper-triangular
-    Tri (or square Mat).
+    Tri (or square Mat); params is a TrsmEcParams or a bare failure bound.
     """
-    return _trsm_ec_right(R, H, _as_tri(U, "upper"), params)
+    return _trsm_ec_right(R, H, _as_tri(U, "upper"), params,
+                          "trsmec_upper_right")
 
 
 def trsm_ec_lower_right(R, H, L, params):
     """Correct R in place so that R.L = H."""
-    return _trsm_ec_right(R, H, _as_tri(L, "lower"), params)
+    return _trsm_ec_right(R, H, _as_tri(L, "lower"), params,
+                          "trsmec_lower_right")
 
 
 def trsm_ec_lower_left(R, H, L, params):
-    """Correct R in place so that L.R = H (transpose of upper/right)."""
-    return _trsm_ec_right(R.T, H.T, _as_tri(L, "lower").T, params)
+    """Correct R in place so that L.R = H; report positions index R^T."""
+    return _trsm_ec_right(R.T, H.T, _as_tri(L, "lower").T, params,
+                          "trsmec_lower_left")
 
 
 def trsm_ec_upper_left(R, H, U, params):
-    """Correct R in place so that U.R = H (transpose of lower/right)."""
-    return _trsm_ec_right(R.T, H.T, _as_tri(U, "upper").T, params)
+    """Correct R in place so that U.R = H; report positions index R^T."""
+    return _trsm_ec_right(R.T, H.T, _as_tri(U, "upper").T, params,
+                          "trsmec_upper_left")
 
 
 def _as_tri(T, kind):
@@ -137,9 +141,11 @@ def _as_tri(T, kind):
     return Tri(T, kind)
 
 
-def _trsm_ec_right(R, H, T, params):
-    """Shared loop for the two right-side variants (T upper or lower)."""
+def _trsm_ec_right(R, H, T, params, stage):
+    """Entry of the four public variants: checks shapes, operand ranges and
+    T's diagonal once, then runs the correction loop on R.T = H."""
     t0 = time.perf_counter()
+    params = TrsmEcParams.with_generator(params)
     m, n = R.shape
     if H.rows != m or H.cols != n:
         raise DimensionError("blackbox shape %s does not match candidate %s"
@@ -151,13 +157,26 @@ def _trsm_ec_right(R, H, T, params):
     R.ctx.canonical(R.a, in_place=True)
     H = H.canonical()
     T = T.with_ctx(T.ctx, R.ctx.canonical(T.a))
-    rep = CorrectionReport(stage="trsmec_%s_right" % T.kind,
-                           epsilon=params.eps, seed=params.seed)
+    if m and n:
+        T.check_invertible()
+    rep = correction_loop(R, H, T, params, stage)
+    rep.wall_time = time.perf_counter() - t0
+    return rep
+
+
+def correction_loop(R, H, T, params, stage):
+    """Correct R in place so that R.T = H; returns the report, named stage.
+
+    Assumes checked operands: matching shapes, codes in [0, q), T
+    invertible, and params holding a live generator.
+    """
+    t0 = time.perf_counter()
+    m, n = R.shape
+    rep = CorrectionReport(stage=stage, epsilon=params.eps, seed=params.seed)
     if m == 0 or n == 0:
         rep.verified = True
         rep.wall_time = time.perf_counter() - t0
         return rep
-    T.check_invertible()
 
     ell = H.inner
     if dense_cheaper(R.ctx.q, params.eps, m, n, ell):

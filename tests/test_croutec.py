@@ -8,7 +8,7 @@ import pytest
 
 from eclu.croutec import (GrpViolation, crout_ec, crout_reference,
                           make_grp_instance, rank_deficient_ec, rect_ec)
-from eclu.ff import make_prime_field
+from eclu.ff import FieldCtx, make_ext_field, make_prime_field
 from eclu.mat import Mat, PackedLU, multiply
 from eclu.trsmec import TrsmEcParams
 
@@ -281,7 +281,7 @@ def test_croutec_structured_errors(ctx, pattern):
 
 def test_croutec_report_leaves_named_and_timed():
     # clean n = 64: each leaf is a dense block check or a projection check
-    # of a strip, and each one reports its own time
+    # of a U strip or an L strip, and each one reports its own time
     rng = np.random.default_rng(8)
     A, L0, U0 = make_grp_instance(FBIG, 64, rng)
     _, rep = crout_ec(PackedLU.pack(L0, U0), A, TrsmEcParams(0.05, seed=1))
@@ -290,18 +290,88 @@ def test_croutec_report_leaves_named_and_timed():
     assert {leaf.stage for leaf in leaves if leaf.dense_verified} == {
         "dense_block"}
     assert {leaf.stage for leaf in leaves if not leaf.dense_verified} == {
-        "trsmec_upper_right"}
-    # an error on U's diagonal takes the recursion down to narrow strips,
-    # which are checked densely; the U strip and the L strip are named apart
+        "trsmec_lower_left", "trsmec_upper_right"}
+    # an error on U's diagonal is recomputed with its diagonal block, which
+    # alone reports it
     A, L0, U0 = make_grp_instance(FBIG, 32, rng)
     P = PackedLU.pack(L0.copy(), U0.copy())
     P.mat.a[3, 3] = FBIG.sadd(int(P.mat.a[3, 3]), 1)
     _, rep = crout_ec(P, A, TrsmEcParams(0.05, seed=1))
     assert np.array_equal(P.mat.a, PackedLU.pack(L0, U0).mat.a)
-    dense = [leaf for leaf in rep.iter_leaves() if leaf.dense_verified]
-    assert {leaf.stage for leaf in dense} == {
-        "dense_block", "dense_strip_u", "dense_strip_l"}
-    assert all(leaf.wall_time > 0 for leaf in dense)
+    leaves = list(rep.iter_leaves())
+    assert all(leaf.wall_time > 0 for leaf in leaves)
+    assert [(leaf.stage, leaf.positions) for leaf in leaves
+            if leaf.positions] == [("dense_block", [(3, 3)])]
+    # over GF(2) a 16-wide strip is checked by one dense solve, and the U
+    # strip and the L strip are named apart
+    A, L0, U0 = make_grp_instance(F2, 32, rng)
+    P = PackedLU.pack(L0.copy(), U0.copy())
+    for i, j in ((2, 20), (20, 2)):
+        P.mat.a[i, j] ^= 1
+    _, rep = crout_ec(P, A, TrsmEcParams(0.05, seed=1))
+    assert np.array_equal(P.mat.a, PackedLU.pack(L0, U0).mat.a)
+    leaves = list(rep.iter_leaves())
+    assert all(leaf.wall_time > 0 for leaf in leaves)
+    strips = [leaf for leaf in leaves if leaf.stage.startswith("trsmec")]
+    assert [(leaf.stage, leaf.positions) for leaf in strips] == [
+        ("trsmec_lower_left", [(2, 20)]), ("trsmec_upper_right", [(20, 2)])]
+    assert all(leaf.dense_verified and leaf.lam == 0 for leaf in strips)
+
+
+@pytest.mark.parametrize("ctx", [F7, make_ext_field(2, 2), FBIG,
+                                 make_prime_field(2 ** 31 - 1)],
+                         ids=["gf7", "gf4", "65537", "p31"])
+@pytest.mark.parametrize("k", [5, 60, 900])
+def test_croutec_positions_are_the_wrong_entries(ctx, k):
+    # every wrong entry is reported once, by the leaf that corrects it, in
+    # the packed matrix's coordinates, and the root counts them all
+    n = 96
+    rng = np.random.default_rng(k)
+    A, L0, U0 = make_grp_instance(ctx, n, rng)
+    truth = PackedLU.pack(L0, U0).mat.a
+    P = PackedLU.pack(L0.copy(), U0.copy())
+    corrupt_packed(ctx, P, k, rng)
+    wrong = set(zip(*(x.tolist() for x in np.nonzero(P.mat.a != truth))))
+    _, rep = crout_ec(P, A, TrsmEcParams(0.05, seed=k))
+    assert np.array_equal(P.mat.a, truth)
+    reported = [pos for leaf in rep.iter_leaves() for pos in leaf.positions]
+    assert len(reported) == len(set(reported))
+    assert set(reported) == wrong
+    assert rep.corrected == len(wrong)
+
+
+def test_croutec_range_checks_its_two_operands_once(monkeypatch):
+    calls = []
+    canonical = FieldCtx.canonical
+
+    def spy(self, a, in_place=False):
+        calls.append(a.shape)
+        return canonical(self, a, in_place)
+
+    monkeypatch.setattr(FieldCtx, "canonical", spy)
+    rng = np.random.default_rng(14)
+    for ctx in (F7, FBIG):
+        A, L0, U0 = make_grp_instance(ctx, 64, rng)
+        P = PackedLU.pack(L0.copy(), U0.copy())
+        corrupt_packed(ctx, P, 20, rng)
+        calls.clear()
+        crout_ec(P, A, TrsmEcParams(0.05, seed=3))
+        assert np.array_equal(P.mat.a, PackedLU.pack(L0, U0).mat.a)
+        assert calls == [(64, 64), (64, 64)]
+
+
+def test_croutec_non_grp_input_names_the_zero_pivot():
+    # U0[20, 20] = 0 makes the leading 21-by-21 minor of A zero while the
+    # smaller ones stay nonzero
+    rng = np.random.default_rng(15)
+    _, L0, U0 = make_grp_instance(FBIG, 48, rng)
+    U0.a[20, 20] = 0
+    A = multiply(L0, U0)
+    P = PackedLU.pack(L0.copy(), U0.copy())
+    corrupt_packed(FBIG, P, 10, rng)
+    with pytest.raises(GrpViolation) as err:
+        crout_ec(P, A, TrsmEcParams(0.05, seed=4))
+    assert err.value.index == 20
 
 
 def test_croutec_root_report_times_itself_and_holds_largest_lam():

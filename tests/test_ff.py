@@ -1,5 +1,8 @@
 """Field contexts: arithmetic, extensions, high-order elements, sampling."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -424,3 +427,16 @@ def test_ext_gf2_20_matches_oracle():
     for fill in ("random", "max"):
         check_ext_matmul(ctx, operand(rng, ctx.q, (3, 5), fill, "strided"),
                          operand(rng, ctx.q, (5, 2), fill, "transposed"))
+
+
+def test_residue_products_only_in_the_field_kernel():
+    # PrimeField.matmul (with ExtField's table folds) is the only place
+    # where residues are multiplied: no `@` anywhere else in the package
+    found = []
+    for path in sorted(pathlib.Path(ff.__file__).parent.glob("*.py")):
+        if path.name == "ff.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.MatMult):
+                found.append(path.name)
+    assert found == []

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eclu import croutec, trsmec
+from eclu import trsmec
 from eclu.blackbox import BlackboxRHS
 from eclu.croutec import crout_ec, make_grp_instance
 from eclu.ff import make_ext_field, make_prime_field
@@ -206,17 +206,21 @@ def test_projected_gap_no_int64_overflow():
         assert not _projected_gap(ctx, W, H, R, {}, U).any()
 
 
+# each public variant, with the kind of the right instance whose transpose
+# (for a left variant) it solves
+_VARIANTS = [(trsm_ec_upper_right, "upper", False),
+             (trsm_ec_lower_right, "lower", False),
+             (trsm_ec_lower_left, "upper", True),
+             (trsm_ec_upper_left, "lower", True)]
+
+
 @pytest.mark.parametrize("p", [65537, 2 ** 31 - 1])
 def test_unreduced_entries_are_reduced(p):
     # candidate entries a + p and a - p come back reduced; input operands
     # out of range are read as reduced and left as they were
     ctx = make_prime_field(p)
     rng = np.random.default_rng(12)
-    # a left variant solves the transpose of a right instance
-    for variant, kind, left in ((trsm_ec_upper_right, "upper", False),
-                                (trsm_ec_lower_right, "lower", False),
-                                (trsm_ec_lower_left, "upper", True),
-                                (trsm_ec_upper_left, "lower", True)):
+    for variant, kind, left in _VARIANTS:
         R, H, T = make_right_instance(ctx, 20, 20, 6, rng, kind=kind)
         if left:
             R, H, T = R.T, H.T, T.T
@@ -232,6 +236,39 @@ def test_unreduced_entries_are_reduced(p):
         assert rep.verified and np.array_equal(R.a, truth)
         assert all(np.array_equal(x, y) for x, y in
                    zip(before, [H.C.a, H.A.a, T.a]))
+
+
+@pytest.mark.parametrize("variant, kind, left", _VARIANTS,
+                         ids=[v.__name__ for v, _, _ in _VARIANTS])
+def test_variant_reports_its_own_stage_name(variant, kind, left):
+    rng = np.random.default_rng(13)
+    R, H, T = make_right_instance(FBIG, 20, 20, 6, rng, kind=kind)
+    if left:
+        R, H, T = R.T, H.T, T.T
+    corrupt(FBIG, R, 3, rng)
+    rep = variant(R, H, T, TrsmEcParams(0.05, seed=1))
+    assert rep.stage == variant.__name__.replace("trsm_ec_", "trsmec_")
+    assert rep.verified and rep.corrected == 3
+
+
+def test_bare_failure_bound_accepted():
+    # every public corrector takes a bare eps in place of a TrsmEcParams
+    rng = np.random.default_rng(14)
+    for variant, kind, left in _VARIANTS:
+        R, H, T = make_right_instance(FBIG, 20, 20, 6, rng, kind=kind)
+        if left:
+            R, H, T = R.T, H.T, T.T
+        truth = R.a.copy()
+        corrupt(FBIG, R, 3, rng)
+        assert variant(R, H, T, 0.05).verified
+        assert np.array_equal(R.a, truth)
+    U = rand_tri(FBIG, 20, "upper", rng)
+    Rinv = Mat.identity(FBIG, 20)
+    U.solve_right(Rinv.a)
+    truth = Rinv.a.copy()
+    corrupt(FBIG, Rinv, 3, rng)
+    assert tr_inv_ec(Rinv, U, 0.05).verified
+    assert np.array_equal(Rinv.a, truth)
 
 
 _SHAPES = [(m, n, ell) for m in (1, 3, 8, 32, 100, 512)
@@ -273,8 +310,7 @@ def test_dense_cheaper_never_asked_about_a_clean_round(monkeypatch):
         calls.append(c)
         return dense_cheaper(q, eps, m, n, ell, c, k_left)
 
-    for mod in (trsmec, croutec):
-        monkeypatch.setattr(mod, "dense_cheaper", spy)
+    monkeypatch.setattr(trsmec, "dense_cheaper", spy)
     rng = np.random.default_rng(21)
     for k in (0, 3, 40):
         R, H, U = make_right_instance(FBIG, 40, 48, 8, rng)
