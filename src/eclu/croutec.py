@@ -17,7 +17,7 @@ import numpy as np
 from .blackbox import BlackboxRHS
 from .mat import DimensionError, Mat, PackedLU, Tri
 from .report import CorrectionReport
-from .trsmec import (TrsmEcParams, correction_loop, trsm_ec_lower_left,
+from .trsmec import (TrsmEcParams, _correction_loop, trsm_ec_lower_left,
                      trsm_ec_upper_right)
 
 
@@ -36,9 +36,8 @@ def crout_reference(A):
     """
     if A.rows != A.cols:
         raise DimensionError("square matrix required")
-    n = A.rows
-    M = Mat.zeros(A.ctx, n, n)
-    _crout(A.ctx, M.a, A.a, 0, n)
+    M = Mat.zeros(A.ctx, A.rows, A.rows)
+    _crout(A.ctx, M.a, A.a, 0, A.rows)
     return PackedLU(M)
 
 
@@ -52,7 +51,6 @@ def _crout(ctx, M, A, n1, nrest):
         M[n1, n1] = piv
         return
     n2 = (nrest + 1) // 2
-    n3 = nrest - n2
     _crout(ctx, M, A, n1, n2)
     r1 = slice(0, n1)
     r2 = slice(n1, n1 + n2)
@@ -61,7 +59,7 @@ def _crout(ctx, M, A, n1, nrest):
     Tri(Mat(ctx, M[r2, r2]), "lower", unit=True).solve_left(M[r2, r3])
     M[r3, r2] = ctx.sub(A[r3, r2], ctx.matmul(M[r3, r1], M[r1, r2]))
     Tri(Mat(ctx, M[r2, r2]), "upper").solve_right(M[r3, r2])
-    _crout(ctx, M, A, n1 + n2, n3)
+    _crout(ctx, M, A, n1 + n2, nrest - n2)
 
 
 def crout_ec(packed, A, params):
@@ -90,10 +88,9 @@ def crout_ec(packed, A, params):
 
 def _crout_ec(ctx, M, A, n1, nrest, params, rep):
     if nrest <= _BLOCK_CHECK:
-        rep.add_child(_dense_block(ctx, M, A, n1, nrest, params.eps))
+        _dense_block(ctx, M, A, n1, nrest, params.eps, rep)
         return
     n2 = (nrest + 1) // 2
-    n3 = nrest - n2
     quarter = params.child(params.eps / 4)
     _crout_ec(ctx, M, A, n1, n2, quarter, rep)
     r1 = slice(0, n1)
@@ -104,51 +101,49 @@ def _crout_ec(ctx, M, A, n1, nrest, params, rep):
     H_u = BlackboxRHS(C=Mat(ctx, A[r2, r3]),
                       A=Mat(ctx, M[r2, r1]), B=Mat(ctx, M[r1, r3]))
     L22 = Tri(Mat(ctx, M[r2, r2]), "lower", unit=True)
-    sub = correction_loop(Mat(ctx, M[r2, r3]).T, H_u.T, L22.T, quarter,
-                          "trsmec_lower_left")
-    sub.positions = [(n1 + c, n1 + n2 + r) for r, c in sub.positions]
-    rep.add_child(sub)
+    rep.add_child(_correction_loop(Mat(ctx, M[r2, r3]).T, H_u.T, L22.T,
+                                   quarter, "trsmec_lower_left")
+                  .transposed().shift(n1, n1 + n2))
     # L32 from L32 . U22 = A32 - L31 . U12
     H_l = BlackboxRHS(C=Mat(ctx, A[r3, r2]),
                       A=Mat(ctx, M[r3, r1]), B=Mat(ctx, M[r1, r2]))
     U22 = Tri(Mat(ctx, M[r2, r2]), "upper")
-    sub = correction_loop(Mat(ctx, M[r3, r2]), H_l, U22, quarter,
-                          "trsmec_upper_right")
-    sub.positions = [(n1 + n2 + r, n1 + c) for r, c in sub.positions]
-    rep.add_child(sub)
-    _crout_ec(ctx, M, A, n1 + n2, n3, quarter, rep)
+    rep.add_child(_correction_loop(Mat(ctx, M[r3, r2]), H_l, U22, quarter,
+                                   "trsmec_upper_right").shift(n1 + n2, n1))
+    _crout_ec(ctx, M, A, n1 + n2, nrest - n2, quarter, rep)
 
 
 # largest diagonal block that is checked, and recomputed when wrong, densely
 _BLOCK_CHECK = 16
 
 
-def _dense_block(ctx, M, A, n1, ns, eps):
+def _dense_block(ctx, M, A, n1, ns, eps, parent):
     """Deterministic check of a small diagonal block; recomputes it if wrong.
 
     By the elimination order every column left of n1 is already final, so
     B = A - (L prefix).(U prefix) restricted to the block is exact, and
     L_b . U_b = B with a nonzero U_b diagonal determines both factors
     uniquely.  A failed block is recomputed by _crout in M itself, so that
-    every entry before a zero pivot is final when GrpViolation is raised,
-    and the entries that changed are reported as one correcting round.
+    every entry before a zero pivot is final when GrpViolation is raised.
+    The leaf joins parent even then, reporting the entries that changed as
+    one correcting round.
     """
     t0 = time.perf_counter()
     rep = CorrectionReport(stage="dense_block", epsilon=eps, rounds=1,
                            verified=True, dense_verified=True)
     s = slice(n1, n1 + ns)
-    Ms = M[s, s]
+    Ms, before = M[s, s], M[s, s].copy()
     B = ctx.sub(A[s, s], ctx.matmul(M[s, :n1], M[:n1, s]))
     LU = ctx.matmul(np.tril(Ms, -1) + np.eye(ns, dtype=np.int64), np.triu(Ms))
-    if not (Ms.diagonal().all() and np.array_equal(LU, B)):
-        before = Ms.copy()
-        _crout(ctx, M, A, n1, ns)
-        rows, cols = np.nonzero(Ms != before)
-        rep.positions = list(zip((rows + n1).tolist(), (cols + n1).tolist()))
-        rep.corrected = len(rep.positions)
-        rep.correcting_rounds = 1
-    rep.wall_time = time.perf_counter() - t0
-    return rep
+    try:
+        if not (Ms.diagonal().all() and np.array_equal(LU, B)):
+            rep.correcting_rounds = 1
+            _crout(ctx, M, A, n1, ns)
+    finally:
+        rep.positions = list(map(tuple, np.argwhere(Ms != before).tolist()))
+        rep.corrected = len(rep.shift(n1, n1).positions)
+        rep.wall_time = time.perf_counter() - t0
+        parent.add_child(rep)
 
 
 def rect_ec(A, packed, U2, params):
@@ -169,9 +164,9 @@ def rect_ec(A, packed, U2, params):
     _, sub = crout_ec(packed, A.view(0, 0, m, m), params.child(params.eps / 2))
     rep.add_child(sub)
     if n > m:
-        H = BlackboxRHS(C=A.view(0, m, m, n - m))
-        rep.add_child(trsm_ec_lower_left(U2, H, packed.lower_tri(),
-                                         params.child(params.eps / 2)))
+        rep.add_child(trsm_ec_lower_left(
+            U2, BlackboxRHS(C=A.view(0, m, m, n - m)), packed.lower_tri(),
+            params.child(params.eps / 2)).shift(0, m))
     rep.verified = all(c.verified for c in rep.children)
     return packed, U2, rep
 
@@ -210,7 +205,7 @@ def rank_deficient_ec(A, L_cand, U_cand, params):
         r = d
     except GrpViolation as stop:
         r = stop.index
-    sub.verified = all(c.verified for c in sub.children) if sub.children else True
+    sub.verified = all(c.verified for c in sub.children)
     rep.add_child(sub)
 
     # U right strip: columns r..n (partially corrected inside M up to d)
@@ -221,30 +216,28 @@ def rank_deficient_ec(A, L_cand, U_cand, params):
         U_rest[:take, d - r:] = U_cand.a[:take, d:]
     L11 = Tri(Mat(ctx, M[:r, :r]), "lower", unit=True)
     U11 = Tri(Mat(ctx, M[:r, :r]), "upper")
-    U_rest_m = Mat(ctx, U_rest)
     if n > r:
         rep.add_child(trsm_ec_lower_left(
-            U_rest_m, BlackboxRHS(C=A.view(0, r, r, n - r)), L11,
-            params.child(params.eps / 3)))
+            Mat(ctx, U_rest), BlackboxRHS(C=A.view(0, r, r, n - r)), L11,
+            params.child(params.eps / 3)).shift(0, r))
 
     # L bottom strip: rows r..m
     L_rest = np.zeros((m - r, r), dtype=np.int64)
     L_rest[:d - r, :] = np.tril(M, -1)[r:d, :r]
     if m > d:
         L_rest[d - r:, :take] = L_cand.a[d:, :take]
-    L_rest_m = Mat(ctx, L_rest)
     if m > r:
         rep.add_child(trsm_ec_upper_right(
-            L_rest_m, BlackboxRHS(C=A.view(r, 0, m - r, r)), U11,
-            params.child(params.eps / 3)))
+            Mat(ctx, L_rest), BlackboxRHS(C=A.view(r, 0, m - r, r)), U11,
+            params.child(params.eps / 3)).shift(r, 0))
 
     L_out = np.zeros((m, r), dtype=np.int64)
     L_out[:r, :] = np.tril(M[:r, :r], -1) + np.eye(r, dtype=np.int64)
     L_out[r:, :] = L_rest
     U_out = np.zeros((r, n), dtype=np.int64)
     U_out[:, :r] = np.triu(M[:r, :r])
-    U_out[:, r:] = U_rest_m.a
-    rep.verified = all(c.verified for c in rep.children) if rep.children else True
+    U_out[:, r:] = U_rest
+    rep.verified = all(c.verified for c in rep.children)
     return r, Mat(ctx, L_out), Mat(ctx, U_out), rep
 
 
@@ -255,10 +248,7 @@ def make_grp_instance(ctx, n, rng, rank=None):
     nonzero diagonal, A = L0.U0.  Leading principal minors up to the rank
     are products of U0's diagonal, hence nonzero.
     """
-    if isinstance(n, tuple):
-        m, n_ = n
-    else:
-        m = n_ = n
+    m, n_ = n if isinstance(n, tuple) else (n, n)
     r = min(m, n_) if rank is None else rank
     L = np.tril(ctx.rand(rng, (m, r)), -1)
     np.fill_diagonal(L[:r, :r], 1)

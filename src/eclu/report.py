@@ -34,6 +34,16 @@ class CorrectionReport:
         self.ext_degree = max(self.ext_degree, child.ext_degree)
         self.wall_time += child.wall_time
 
+    def shift(self, dr, dc):
+        """Offset this report's own positions by (dr, dc); returns self."""
+        self.positions = [(r + dr, c + dc) for r, c in self.positions]
+        return self
+
+    def transposed(self):
+        """Swap row and column in this report's own positions; returns self."""
+        self.positions = [(c, r) for r, c in self.positions]
+        return self
+
     def epsilon_budget(self):
         """Sum of the failure bounds of all leaf verification stages."""
         if not self.children:

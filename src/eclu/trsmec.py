@@ -122,15 +122,15 @@ def trsm_ec_lower_right(R, H, L, params):
 
 
 def trsm_ec_lower_left(R, H, L, params):
-    """Correct R in place so that L.R = H; report positions index R^T."""
+    """Correct R in place so that L.R = H, run as R^T.L^T = H^T."""
     return _trsm_ec_right(R.T, H.T, _as_tri(L, "lower").T, params,
-                          "trsmec_lower_left")
+                          "trsmec_lower_left").transposed()
 
 
 def trsm_ec_upper_left(R, H, U, params):
-    """Correct R in place so that U.R = H; report positions index R^T."""
+    """Correct R in place so that U.R = H, run as R^T.U^T = H^T."""
     return _trsm_ec_right(R.T, H.T, _as_tri(U, "upper").T, params,
-                          "trsmec_upper_left")
+                          "trsmec_upper_left").transposed()
 
 
 def _as_tri(T, kind):
@@ -159,12 +159,12 @@ def _trsm_ec_right(R, H, T, params, stage):
     T = T.with_ctx(T.ctx, R.ctx.canonical(T.a))
     if m and n:
         T.check_invertible()
-    rep = correction_loop(R, H, T, params, stage)
+    rep = _correction_loop(R, H, T, params, stage)
     rep.wall_time = time.perf_counter() - t0
     return rep
 
 
-def correction_loop(R, H, T, params, stage):
+def _correction_loop(R, H, T, params, stage):
     """Correct R in place so that R.T = H; returns the report, named stage.
 
     Assumes checked operands: matching shapes, codes in [0, q), T

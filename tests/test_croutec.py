@@ -27,6 +27,17 @@ def corrupt_packed(ctx, packed, k, rng):
                                       int(ctx.rand_nonzero(rng)))
 
 
+def _differ(a, b):
+    return set(zip(*(x.tolist() for x in np.nonzero(a != b))))
+
+
+def _reported_once(rep):
+    """Positions of every leaf of rep, checked to be reported only once."""
+    reported = [pos for leaf in rep.iter_leaves() for pos in leaf.positions]
+    assert len(reported) == len(set(reported))
+    return set(reported)
+
+
 def test_reference_identity():
     P = crout_reference(Mat.identity(F7, 8))
     assert np.array_equal(P.extract_L().a, np.eye(8, dtype=np.int64))
@@ -143,16 +154,20 @@ def test_rect_ec_hand_gf5():
 
 
 def test_rect_ec_random_suite():
+    # positions index the packed wide matrix [L\U1 U2]
     rng = np.random.default_rng(7)
     for trial in range(10):
         A, L0, U0 = make_grp_instance(FBIG, (32, 64), rng)
         P = PackedLU.pack(Mat(FBIG, L0.a[:, :32]), Mat(FBIG, U0.a[:, :32]))
         U2 = Mat(FBIG, U0.a[:, 32:].copy())
+        truth = np.hstack([P.mat.a, U2.a])
         corrupt_packed(FBIG, P, 6, rng)
         U2.a[3, 7] = FBIG.sadd(int(U2.a[3, 7]), 11)
-        rect_ec(A, P, U2, TrsmEcParams(0.05, seed=trial))
+        wrong = _differ(np.hstack([P.mat.a, U2.a]), truth)
+        _, _, rep = rect_ec(A, P, U2, TrsmEcParams(0.05, seed=trial))
         full_U = np.hstack([P.extract_U().a, U2.a])
         assert np.array_equal(FBIG.matmul(P.extract_L().a, full_U), A.a)
+        assert _reported_once(rep) == wrong and rep.corrected == len(wrong)
 
 
 def test_rankdef_zero_matrix():
@@ -189,10 +204,13 @@ def test_rankdef_random_suite(r):
             i = int(rng.integers(0, r))
             j = int(rng.integers(i, n))
             Uc.a[i, j] = FBIG.sadd(int(Uc.a[i, j]), int(FBIG.rand_nonzero(rng)))
+        # L and U share one m-by-n packed array, so their positions do too
+        wrong = _differ(Lc.a, L0.a) | _differ(Uc.a, U0.a)
         rd, L, U, rep = rank_deficient_ec(A, Lc, Uc,
                                          TrsmEcParams(0.05, seed=trial))
         assert rd == r
         assert np.array_equal(multiply(L, U).a, A.a)
+        assert _reported_once(rep) == wrong and rep.corrected == len(wrong)
 
 
 def shift_out_of_range(ctx, a, rng, k=4):

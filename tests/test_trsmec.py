@@ -240,15 +240,22 @@ def test_unreduced_entries_are_reduced(p):
 
 @pytest.mark.parametrize("variant, kind, left", _VARIANTS,
                          ids=[v.__name__ for v, _, _ in _VARIANTS])
-def test_variant_reports_its_own_stage_name(variant, kind, left):
-    rng = np.random.default_rng(13)
-    R, H, T = make_right_instance(FBIG, 20, 20, 6, rng, kind=kind)
+@pytest.mark.parametrize("k", [3, 400])
+def test_variant_reports_its_own_stage_name(variant, kind, left, k):
+    # the left variants run on R^T but report each wrong entry once, as
+    # (row, column) of R, after projected rounds (k = 3) or a dense solve
+    rng = np.random.default_rng(13 + k)
+    R, H, T = make_right_instance(FBIG, 80, 48, 8, rng, kind=kind)
     if left:
         R, H, T = R.T, H.T, T.T
-    corrupt(FBIG, R, 3, rng)
+    truth = R.a.copy()
+    corrupt(FBIG, R, k, rng)
+    wrong = set(zip(*(x.tolist() for x in np.nonzero(R.a != truth))))
     rep = variant(R, H, T, TrsmEcParams(0.05, seed=1))
     assert rep.stage == variant.__name__.replace("trsm_ec_", "trsmec_")
-    assert rep.verified and rep.corrected == 3
+    assert rep.verified and np.array_equal(R.a, truth)
+    assert bool(rep.dense_verified) == (k == 400) and rep.lam > 0
+    assert sorted(rep.positions) == sorted(wrong) and rep.corrected == k
 
 
 def test_bare_failure_bound_accepted():
