@@ -45,7 +45,8 @@ def _crout(ctx, M, A, n1, nrest):
     if nrest == 0:
         return
     if nrest == 1:
-        piv = ctx.ssub(int(A[n1, n1]), ctx.dot(M[n1, :n1], M[:n1, n1]))
+        prod = ctx.matmul(M[n1:n1 + 1, :n1], M[:n1, n1:n1 + 1])
+        piv = ctx.ssub(int(A[n1, n1]), int(prod[0, 0]))
         if piv == 0:
             raise GrpViolation(n1)
         M[n1, n1] = piv
@@ -80,19 +81,27 @@ def crout_ec(packed, A, params):
     ctx = A.ctx
     # the only range checks: the candidate in place, the input by a copy
     ctx.canonical(packed.mat.a, in_place=True)
-    _crout_ec(ctx, packed.mat.a, ctx.canonical(A.a), 0, A.rows, params, rep)
+    _crout_ec(packed.lower_tri(), packed.upper_tri(), ctx.canonical(A.a), 0,
+              A.rows, params, rep)
     rep.verified = all(c.verified for c in rep.children)
     rep.wall_time = time.perf_counter() - t0
     return packed, rep
 
 
-def _crout_ec(ctx, M, A, n1, nrest, params, rep):
+def _crout_ec(L, U, A, n1, nrest, params, rep):
+    """Correct the trailing block from n1 of the packed buffer M.
+
+    L and U are M's root triangles.  Each level solves against their
+    sub-triangles on n1..n1+n2-1, final once the first recursive call
+    returns, so every level reuses the block inverses they store.
+    """
+    ctx, M = L.ctx, L.a
     if nrest <= _BLOCK_CHECK:
         _dense_block(ctx, M, A, n1, nrest, params.eps, rep)
         return
     n2 = (nrest + 1) // 2
     quarter = params.child(params.eps / 4)
-    _crout_ec(ctx, M, A, n1, n2, quarter, rep)
+    _crout_ec(L, U, A, n1, n2, quarter, rep)
     r1 = slice(0, n1)
     r2 = slice(n1, n1 + n2)
     r3 = slice(n1 + n2, n1 + nrest)
@@ -100,17 +109,17 @@ def _crout_ec(ctx, M, A, n1, nrest, params, rep):
     # corrected as its transpose U23^T . L22^T = H^T
     H_u = BlackboxRHS(C=Mat(ctx, A[r2, r3]),
                       A=Mat(ctx, M[r2, r1]), B=Mat(ctx, M[r1, r3]))
-    L22 = Tri(Mat(ctx, M[r2, r2]), "lower", unit=True)
-    rep.add_child(_correction_loop(Mat(ctx, M[r2, r3]).T, H_u.T, L22.T,
-                                   quarter, "trsmec_lower_left")
+    rep.add_child(_correction_loop(Mat(ctx, M[r2, r3]).T, H_u.T,
+                                   L.sub(n1, n2).T, quarter,
+                                   "trsmec_lower_left")
                   .transposed().shift(n1, n1 + n2))
     # L32 from L32 . U22 = A32 - L31 . U12
     H_l = BlackboxRHS(C=Mat(ctx, A[r3, r2]),
                       A=Mat(ctx, M[r3, r1]), B=Mat(ctx, M[r1, r2]))
-    U22 = Tri(Mat(ctx, M[r2, r2]), "upper")
-    rep.add_child(_correction_loop(Mat(ctx, M[r3, r2]), H_l, U22, quarter,
-                                   "trsmec_upper_right").shift(n1 + n2, n1))
-    _crout_ec(ctx, M, A, n1 + n2, nrest - n2, quarter, rep)
+    rep.add_child(_correction_loop(Mat(ctx, M[r3, r2]), H_l, U.sub(n1, n2),
+                                   quarter, "trsmec_upper_right")
+                  .shift(n1 + n2, n1))
+    _crout_ec(L, U, A, n1 + n2, nrest - n2, quarter, rep)
 
 
 # largest diagonal block that is checked, and recomputed when wrong, densely
@@ -199,9 +208,10 @@ def rank_deficient_ec(A, L_cand, U_cand, params):
     A = Mat(ctx, ctx.canonical(A.a))
 
     sub = CorrectionReport(stage="croutec", epsilon=params.eps / 3)
+    P = PackedLU(Mat(ctx, M))
     try:
-        _crout_ec(ctx, M, A.a[:d, :d], 0, d, params.child(params.eps / 3),
-                  sub)
+        _crout_ec(P.lower_tri(), P.upper_tri(), A.a[:d, :d], 0, d,
+                  params.child(params.eps / 3), sub)
         r = d
     except GrpViolation as stop:
         r = stop.index

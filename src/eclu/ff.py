@@ -117,12 +117,6 @@ class FieldCtx:
             return a
         return self._reduce(a, a if in_place else None)
 
-    def eye(self, n):
-        return np.eye(n, dtype=np.int64)
-
-    def dot(self, a, b):
-        return int(self.matmul(a.reshape(1, -1), b.reshape(-1, 1))[0, 0])
-
     def __eq__(self, other):
         return (isinstance(other, FieldCtx)
                 and self.p == other.p and self.nu == other.nu)

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from eclu import mat
 from eclu.croutec import (GrpViolation, crout_ec, crout_reference,
                           make_grp_instance, rank_deficient_ec, rect_ec)
 from eclu.ff import FieldCtx, make_ext_field, make_prime_field
@@ -376,6 +377,44 @@ def test_croutec_range_checks_its_two_operands_once(monkeypatch):
         crout_ec(P, A, TrsmEcParams(0.05, seed=3))
         assert np.array_equal(P.mat.a, PackedLU.pack(L0, U0).mat.a)
         assert calls == [(64, 64), (64, 64)]
+
+
+def test_croutec_inverts_each_diagonal_block_once(monkeypatch):
+    # the levels of one call solve against sub-triangles of two root
+    # triangles, so a base block of the packed buffer, in one orientation,
+    # is inverted once however many levels and rounds solve against it
+    rng = np.random.default_rng(16)
+    n = 256
+    A, L0, U0 = make_grp_instance(FBIG, n, rng)
+    P = PackedLU.pack(L0.copy(), U0.copy())
+    corrupt_packed(FBIG, P, 20, rng)
+    buf = P.mat.a
+    built, looked_up = [], []
+    inverse, block_inverse = mat._inverse, mat.Tri._block_inverse
+
+    def where(a):
+        # (offset, size, strides) of a diagonal block view of buf
+        elems = (a.__array_interface__["data"][0]
+                 - buf.__array_interface__["data"][0]) // buf.itemsize
+        assert elems % (n + 1) == 0
+        return elems // (n + 1), a.shape[0], a.strides
+
+    def counting_inverse(ctx, a, kind, unit):
+        if np.shares_memory(a, buf):
+            built.append((kind, unit) + where(a))
+        return inverse(ctx, a, kind, unit)
+
+    def counting_lookup(self, o, b):
+        if np.shares_memory(self.a, buf):
+            looked_up.append((self.kind, self.unit, self._off + o, b))
+        return block_inverse(self, o, b)
+
+    monkeypatch.setattr(mat, "_inverse", counting_inverse)
+    monkeypatch.setattr(mat.Tri, "_block_inverse", counting_lookup)
+    crout_ec(P, A, TrsmEcParams(0.05, seed=5))
+    assert np.array_equal(P.mat.a, PackedLU.pack(L0, U0).mat.a)
+    assert built and len(built) == len(set(built))
+    assert len(looked_up) > len(built)  # some block served from the store
 
 
 def test_croutec_non_grp_input_names_the_zero_pivot():

@@ -431,12 +431,39 @@ def test_ext_gf2_20_matches_oracle():
 
 def test_residue_products_only_in_the_field_kernel():
     # PrimeField.matmul (with ExtField's table folds) is the only place
-    # where residues are multiplied: no `@` anywhere else in the package
+    # where residues are multiplied: no `@`, numpy product function or
+    # `.dot(` call anywhere else in the package
+    products = {"matmul", "dot", "einsum", "tensordot"}
     found = []
     for path in sorted(pathlib.Path(ff.__file__).parent.glob("*.py")):
         if path.name == "ff.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.MatMult):
-                found.append(path.name)
+                found.append((path.name, node.__class__.__name__))
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)):
+                name, owner = node.func.attr, node.func.value
+                if name == "dot" or (
+                        name in products and isinstance(owner, ast.Name)
+                        and owner.id in ("np", "numpy")):
+                    found.append((path.name, name, node.lineno))
     assert found == []
+
+
+@pytest.mark.parametrize("src,flagged", [
+    ("x = a @ b", True), ("x = np.matmul(a, b)", True),
+    ("x = np.dot(a, b)", True), ("x = numpy.einsum('ij,jk', a, b)", True),
+    ("x = np.tensordot(a, b, 1)", True), ("x = a.dot(b)", True),
+    ("x = ctx.dot(a, b)", True), ("x = ctx.matmul(a, b)", False)])
+def test_kernel_guard_sees_every_product_form(src, flagged, tmp_path,
+                                              monkeypatch):
+    # the guard above, run over a package holding one line besides ff.py
+    (tmp_path / "ff.py").write_text("x = a @ b\n")
+    (tmp_path / "other.py").write_text(src + "\n")
+    monkeypatch.setattr(ff, "__file__", str(tmp_path / "ff.py"))
+    if flagged:
+        with pytest.raises(AssertionError):
+            test_residue_products_only_in_the_field_kernel()
+    else:
+        test_residue_products_only_in_the_field_kernel()

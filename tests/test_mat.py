@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eclu import mat
-from eclu.ff import make_prime_field
+from eclu.ff import embed_up, extend_field, make_ext_field, make_prime_field
 from eclu.mat import (DimensionError, Mat, PackedLU, SingularMatrixError, Tri,
                       multiply, nnz, trsm)
 
@@ -135,3 +135,149 @@ def test_view_aliases_parent():
     V = M.view(1, 1, 2, 2)
     V.a[0, 0] = 5
     assert M.a[1, 1] == 5
+
+
+# Tri.solve_right / solve_left against a Python-int oracle.  The sizes cross
+# the blocked recursion (n > _TRSM_BASE) and its splits of odd sizes.
+SOLVE_FIELDS = [make_prime_field(p) for p in (2, 7, 2 ** 16 + 1, 2 ** 29 - 3,
+                                              2 ** 31 - 1, 2 ** 61 - 1)]
+SOLVE_FIELDS += [make_ext_field(7, 3), make_ext_field(2, 7)]
+SOLVE_SIZES = [0, 1, 2, 3, 47, 48, 49, 97, 130]
+
+
+def oracle_product(ctx, A, B):
+    """A.B over ctx in Python ints, without the field's kernel or tables.
+
+    Residues multiply as Python ints.  A GF(p^nu) code becomes the integer
+    sum c_i 2^(32 i) of its base-p digits, so one Python-int product
+    carries every digit product; the digit sums are unpacked, reduced mod p
+    and folded by the modulus.
+    """
+    if ctx.nu == 1:
+        return ((A.astype(object) @ B.astype(object)) % ctx.p).astype(np.int64)
+    p, nu, mod = ctx.p, ctx.nu, ctx.modulus
+
+    def pack(codes):
+        out = np.zeros(codes.shape, dtype=object)
+        for i in range(nu):
+            out += (codes // p ** i % p).astype(object) << 32 * i
+        return out
+
+    C = pack(A) @ pack(B) if A.shape[1] else np.zeros(
+        (A.shape[0], B.shape[1]), dtype=object)
+    c = [((C >> 32 * t) & 0xFFFFFFFF).astype(np.int64) % p
+         for t in range(2 * nu - 1)]
+    for d in range(2 * nu - 2, nu - 1, -1):
+        for i in range(nu):
+            c[d - nu + i] = (c[d - nu + i] - c[d] * mod[i]) % p
+    return sum(c[i] * p ** i for i in range(nu)).astype(np.int64)
+
+
+def tri_operand(ctx, n, kind, unit, rng):
+    """A stored square whose kind triangle is invertible.  The other
+    triangle holds random codes, and a unit triangle stores zeros on its
+    diagonal: neither may be read.  Returns (stored, masked triangle)."""
+    a = ctx.rand(rng, (n, n))
+    idx = np.arange(n)
+    a[idx, idx] = 0 if unit else ctx.rand_nonzero(rng, (n,))
+    dense = np.triu(a) if kind == "upper" else np.tril(a)
+    if unit:
+        dense[idx, idx] = 1
+    return a, dense
+
+
+def rhs(ctx, rng, shape, layout):
+    m, n = shape
+    if layout == "transposed":
+        return ctx.rand(rng, (n, m)).T
+    if layout == "strided":
+        return ctx.rand(rng, (2 * m + 1, 3 * n + 2))[1::2, 2::3]
+    return ctx.rand(rng, (m, n))
+
+
+@pytest.mark.parametrize("ctx", SOLVE_FIELDS, ids=repr)
+def test_tri_solves_match_int_oracle(ctx):
+    rng = np.random.default_rng(ctx.q % 1009)
+    layouts = ["plain", "strided", "transposed"]
+    for n in SOLVE_SIZES:
+        for kind in ("upper", "lower"):
+            for unit in (False, True):
+                a, dense = tri_operand(ctx, n, kind, unit, rng)
+                stored = a.copy()
+                T = Tri(Mat(ctx, a), kind, unit=unit)
+                for i, rows in enumerate((0, 1, 2, 50)):
+                    layout = layouts[(i + n) % 3]
+                    B = rhs(ctx, rng, (rows, n), layout)
+                    want = B.copy()
+                    T.solve_right(B)  # in place, through the view
+                    assert np.array_equal(oracle_product(ctx, B, dense), want)
+                    B = rhs(ctx, rng, (n, rows), layout)
+                    want = B.copy()
+                    T.solve_left(B)
+                    assert np.array_equal(oracle_product(ctx, dense, B), want)
+                assert np.array_equal(a, stored)
+
+
+@pytest.mark.parametrize("ctx", SOLVE_FIELDS, ids=repr)
+def test_tri_solve_zero_pivot_in_any_block_is_singular(ctx):
+    rng = np.random.default_rng(ctx.q % 1013)
+    for n in SOLVE_SIZES[1:]:
+        for kind in ("upper", "lower"):
+            a, _ = tri_operand(ctx, n, kind, False, rng)
+            B = ctx.rand(rng, (2, n))
+            orig = B.copy()
+            for j in range(n):  # every diagonal position, so every block
+                z = a.copy()
+                z[j, j] = 0
+                T = Tri(Mat(ctx, z), kind)
+                with pytest.raises(SingularMatrixError):
+                    T.solve_right(B)
+                with pytest.raises(SingularMatrixError):
+                    T.solve_left(B.T)
+                assert np.array_equal(B, orig)
+
+
+def test_tri_store_shared_by_sub_triangles_and_transposes_only():
+    rng = np.random.default_rng(20)
+    a, _ = tri_operand(FBIG, 130, "upper", False, rng)
+    T = Tri(Mat(FBIG, a), "upper")
+    T.solve_right(FBIG.rand(rng, (2, 130)))
+    assert set(T._inv) == {("upper", o, b) for o, b in
+                           ((0, 33), (33, 32), (65, 33), (98, 32))}
+    # a node of the split tree: its base blocks are the root's last two
+    S = T.sub(65, 65)
+    assert S._inv is T._inv and S.T._inv is T._inv and S.T._off == 65
+    S.solve_right(FBIG.rand(rng, (2, 65)))
+    assert len(T._inv) == 4
+    for other in (T.principal([0, 5, 9]), T.with_ctx(FBIG),
+                  Tri(Mat(FBIG, a), "upper")):
+        assert other._inv == {} and other._inv is not T._inv
+
+
+def test_lifted_tri_builds_its_own_inverses():
+    rng = np.random.default_rng(21)
+    a, dense = tri_operand(F7, 60, "lower", False, rng)
+    T = Tri(Mat(F7, a), "lower")
+    T.solve_right(F7.rand(rng, (3, 60)))
+    big = extend_field(F7, 7)
+    lifted = T.with_ctx(big, embed_up(F7, big, a))
+    assert lifted._inv == {}
+    B = big.rand(rng, (3, 60))
+    want = B.copy()
+    lifted.solve_right(B)
+    assert np.array_equal(oracle_product(big, B, dense), want)
+    assert all(inv.max() < big.q for inv in lifted._inv.values())
+
+
+def test_fresh_tri_over_a_changed_diagonal_block_solves_correctly():
+    rng = np.random.default_rng(22)
+    a, _ = tri_operand(FBIG, 97, "lower", False, rng)
+    Tri(Mat(FBIG, a), "lower").solve_right(FBIG.rand(rng, (2, 97)))
+    # rewrite a block inside the second base block, then solve afresh
+    new, _ = tri_operand(FBIG, 10, "lower", False, rng)
+    a[60:70, 60:70] = new
+    dense = np.tril(a)
+    B = FBIG.rand(rng, (4, 97))
+    want = B.copy()
+    Tri(Mat(FBIG, a), "lower").solve_right(B)
+    assert np.array_equal(oracle_product(FBIG, B, dense), want)
