@@ -5,9 +5,13 @@ The Crout schedule computes each entry of L and U directly from the original
 input and previously finished factors, which is exactly what lets the
 error-correcting variant replace the two inner triangular solves by
 blackbox corrections without ever forming an intermediate product.  The
-corrector checks each small diagonal block densely, recomputing it when
-wrong, and sends each strip through the triangular correction loop; every
-report leaf holds its positions in the packed matrix's coordinates.
+corrector first checks each node with one Freivalds projection of its
+trailing block and skips the node's subtree when the check passes, so a
+correct candidate costs one projection of the whole product.  A node that
+fails descends: each small diagonal block is checked densely, and
+recomputed when wrong, and each strip goes through the triangular
+correction loop.  Every report leaf holds its positions in the packed
+matrix's coordinates.
 """
 
 import time
@@ -17,8 +21,8 @@ import numpy as np
 from .blackbox import BlackboxRHS
 from .mat import DimensionError, Mat, PackedLU, Tri
 from .report import CorrectionReport
-from .trsmec import (TrsmEcParams, _correction_loop, trsm_ec_lower_left,
-                     trsm_ec_upper_right)
+from .trsmec import (TrsmEcParams, _correction_loop, freivalds_lambda,
+                     trsm_ec_lower_left, trsm_ec_upper_right)
 
 
 class GrpViolation(ValueError):
@@ -91,7 +95,8 @@ def crout_ec(packed, A, params):
 def _crout_ec(L, U, A, n1, nrest, params, rep):
     """Correct the trailing block from n1 of the packed buffer M.
 
-    L and U are M's root triangles.  Each level solves against their
+    A node larger than _BLOCK_CHECK is checked first and skipped when the
+    check passes.  L and U are M's root triangles.  Each level solves against their
     sub-triangles on n1..n1+n2-1, final once the first recursive call
     returns, so every level reuses the block inverses they store.
     """
@@ -99,8 +104,14 @@ def _crout_ec(L, U, A, n1, nrest, params, rep):
     if nrest <= _BLOCK_CHECK:
         _dense_block(ctx, M, A, n1, nrest, params.eps, rep)
         return
+    check = _node_check(L, U, A, n1, nrest, params)
+    if check.verified:
+        rep.add_child(check)
+        return
+    # a wrong node passes its check with probability at most check.epsilon,
+    # so the descent keeps the rest of eps
     n2 = (nrest + 1) // 2
-    quarter = params.child(params.eps / 4)
+    quarter = params.child((params.eps - check.epsilon) / 4)
     _crout_ec(L, U, A, n1, n2, quarter, rep)
     r1 = slice(0, n1)
     r2 = slice(n1, n1 + n2)
@@ -124,6 +135,32 @@ def _crout_ec(L, U, A, n1, nrest, params, rep):
 
 # largest diagonal block that is checked, and recomputed when wrong, densely
 _BLOCK_CHECK = 16
+
+
+def _node_check(L, U, A, n1, ns, params):
+    """Freivalds check of the node on n1..n1+ns-1, as a freivalds_lu leaf.
+
+    By the elimination order the prefix columns are final, so the node is
+    right when L_s . U_s = B_s = A_s - M[s, :n1] . M[:n1, s] and U_s has a
+    nonzero diagonal, which determines both factors uniquely.  The check
+    compares W . B_s with (W . L_s) . U_s for lam random rows W in the base
+    field, so a wrong node passes with probability at most q^-lam, the
+    leaf's epsilon.  The leaf is verified when the check passes; a zero on
+    U_s's diagonal always fails it, so the zero pivot is met below.
+    """
+    t0 = time.perf_counter()
+    ctx, M = L.ctx, L.a
+    lam = freivalds_lambda(ctx.q, ns, params.eps)
+    s = slice(n1, n1 + ns)
+    W = ctx.rand(params.generator(), (lam, ns))
+    WB = ctx.sub(ctx.matmul(W, A[s, s]),
+                 ctx.matmul(ctx.matmul(W, M[s, :n1]), M[:n1, s]))
+    Us = U.sub(n1, ns)
+    ok = bool(Us.a.diagonal().all() and np.array_equal(
+        Us.mul_right(L.sub(n1, ns).mul_right(W)), WB))
+    return CorrectionReport(stage="freivalds_lu", epsilon=float(ctx.q) ** -lam,
+                            seed=params.seed, rounds=1, lam=lam, verified=ok,
+                            wall_time=time.perf_counter() - t0)
 
 
 def _dense_block(ctx, M, A, n1, ns, eps, parent):
@@ -207,6 +244,7 @@ def rank_deficient_ec(A, L_cand, U_cand, params):
     ctx.canonical(M, in_place=True)
     A = Mat(ctx, ctx.canonical(A.a))
 
+    t0 = time.perf_counter()
     sub = CorrectionReport(stage="croutec", epsilon=params.eps / 3)
     P = PackedLU(Mat(ctx, M))
     try:
@@ -216,6 +254,7 @@ def rank_deficient_ec(A, L_cand, U_cand, params):
     except GrpViolation as stop:
         r = stop.index
     sub.verified = all(c.verified for c in sub.children)
+    sub.wall_time = time.perf_counter() - t0
     rep.add_child(sub)
 
     # U right strip: columns r..n (partially corrected inside M up to d)

@@ -26,8 +26,10 @@ _INT64_MAX = (1 << 63) - 1
 _TINY = 1 << 13
 _NARROW = 8
 
-# global field-operation counter, used by the benchmark harness
+# global field-operation counter, used by the benchmark harness; off until
+# the first reset_op_count(), and while off no call site evaluates a size
 _OPS = 0
+_COUNTING = False
 
 
 def op_count():
@@ -35,8 +37,10 @@ def op_count():
 
 
 def reset_op_count():
-    global _OPS
+    """Zero the counter and switch counting on for the rest of the process."""
+    global _OPS, _COUNTING
     _OPS = 0
+    _COUNTING = True
 
 
 def _bump(n):
@@ -95,12 +99,14 @@ class FieldCtx:
     def rand(self, rng, shape=None):
         """Uniform sample over all q elements (zero included)."""
         out = rng.integers(0, self.q, size=shape, dtype=np.int64)
-        _bump(_sz(out))
+        if _COUNTING:
+            _bump(_sz(out))
         return out
 
     def rand_nonzero(self, rng, shape=None):
         out = rng.integers(1, self.q, size=shape, dtype=np.int64)
-        _bump(_sz(out))
+        if _COUNTING:
+            _bump(_sz(out))
         return out
 
     def zeros(self, shape):
@@ -150,19 +156,23 @@ class PrimeField(FieldCtx):
         return np.remainder(a, self.p, out=out)
 
     def add(self, a, b):
-        _bump(_sz(a))
+        if _COUNTING:
+            _bump(_sz(a))
         return (a + b) % self.p
 
     def sub(self, a, b):
-        _bump(_sz(a))
+        if _COUNTING:
+            _bump(_sz(a))
         return (a - b) % self.p
 
     def neg(self, a):
-        _bump(_sz(a))
+        if _COUNTING:
+            _bump(_sz(a))
         return (-a) % self.p
 
     def mul(self, a, b):
-        _bump(max(_sz(a), _sz(b)))
+        if _COUNTING:
+            _bump(max(_sz(a), _sz(b)))
         if self._big:
             r = (np.asarray(a, dtype=object) * np.asarray(b, dtype=object)) % self.p
             return r.astype(np.int64) if isinstance(r, np.ndarray) else int(r)
@@ -172,11 +182,13 @@ class PrimeField(FieldCtx):
         a = int(a) % self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero in %r" % self)
-        _bump(1)
+        if _COUNTING:
+            _bump(1)
         return pow(a, self.p - 2, self.p)
 
     def spow(self, a, e):
-        _bump(1)
+        if _COUNTING:
+            _bump(1)
         return pow(int(a), int(e), self.p)
 
     # scalar aliases (same code path as the vector ops for prime fields)
@@ -211,7 +223,8 @@ class PrimeField(FieldCtx):
         """
         m, ell = A.shape
         n = B.shape[1]
-        _bump(m * ell * n)
+        if _COUNTING:
+            _bump(m * ell * n)
         tiny = m * ell * n <= _TINY
         if tiny and ell <= self._int_terms:
             return (A @ B) % self.p
@@ -316,7 +329,8 @@ class ExtField(FieldCtx):
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a, b):
-        _bump(max(_sz(a), _sz(b)))
+        if _COUNTING:
+            _bump(max(_sz(a), _sz(b)))
         la = self._log[a]
         lb = self._log[b]
         z = self._zech[(lb - la) % self._q1]
@@ -328,7 +342,8 @@ class ExtField(FieldCtx):
         return self.add(a, self._neg(b))
 
     def neg(self, a):
-        _bump(_sz(a))
+        if _COUNTING:
+            _bump(_sz(a))
         return self._neg(a)
 
     def _neg(self, a):
@@ -340,7 +355,8 @@ class ExtField(FieldCtx):
         return r if r.ndim else int(r)
 
     def mul(self, a, b):
-        _bump(max(_sz(a), _sz(b)))
+        if _COUNTING:
+            _bump(max(_sz(a), _sz(b)))
         la = self._log[a]
         lb = self._log[b]
         r = np.where((la < 0) | (lb < 0), 0, self._exp[(la + lb) % self._q1])
@@ -349,7 +365,8 @@ class ExtField(FieldCtx):
     # scalar ops: Python ints read from the tables, no numpy temporaries
 
     def sadd(self, a, b):
-        _bump(1)
+        if _COUNTING:
+            _bump(1)
         a, b = int(a), int(b)
         if a == 0 or b == 0:
             return a + b
@@ -361,7 +378,8 @@ class ExtField(FieldCtx):
         return self.sadd(a, self._sneg(int(b)))
 
     def sneg(self, a):
-        _bump(1)
+        if _COUNTING:
+            _bump(1)
         return self._sneg(int(a))
 
     def _sneg(self, a):
@@ -370,7 +388,8 @@ class ExtField(FieldCtx):
         return self._exp.item((self._log.item(a) + self._half) % self._q1)
 
     def smul(self, a, b):
-        _bump(1)
+        if _COUNTING:
+            _bump(1)
         la = self._log.item(a)
         lb = self._log.item(b)
         if la < 0 or lb < 0:
@@ -381,7 +400,8 @@ class ExtField(FieldCtx):
         la = self._log.item(a)
         if la < 0:
             raise ZeroDivisionError("inverse of zero in %r" % self)
-        _bump(1)
+        if _COUNTING:
+            _bump(1)
         return self._exp.item(-la % self._q1)
 
     def spow(self, a, e):
@@ -393,7 +413,8 @@ class ExtField(FieldCtx):
             if e < 0:
                 raise ZeroDivisionError
             return 0
-        _bump(1)
+        if _COUNTING:
+            _bump(1)
         return self._exp.item(la * e % self._q1)
 
     def matmul(self, A, B):
@@ -410,7 +431,8 @@ class ExtField(FieldCtx):
         n = B.shape[1]
         p, nu = self.p, self.nu
         # m*ell*n field ops net, once base.matmul below adds nu^2 m*ell*n
-        _bump(m * ell * n * (1 - nu * nu))
+        if _COUNTING:
+            _bump(m * ell * n * (1 - nu * nu))
         # digit i of a is a // p^i - p * (a // p^(i+1))
         Ad = A // self._pw[:, None, None]
         Ad[:-1] -= Ad[1:] * p

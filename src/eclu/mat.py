@@ -4,18 +4,21 @@ A Mat is a thin wrapper over a numpy int64 array of field codes plus the
 owning FieldCtx; slicing produces aliasing views, so block algorithms work
 in place without copies.  Triangular operands are wrapped in Tri, which
 masks the opposite triangle (needed when L and U share one packed buffer).
+Tri.mul_right multiplies by column panels, masking only a copy of each
+panel's small diagonal block and reading the rest of the triangle as a
+view, so no dense copy of the triangle is made.
 
 A triangular solve halves the triangle down to diagonal base blocks of at
 most _TRSM_BASE rows and solves against each as one kernel product with
 the block's inverse.  A Tri stores the inverses it builds, keyed by kind,
 absolute offset and size, for as long as it lives, and its sub-triangles
 and transposes share that store.  A stored inverse is never rebuilt, so a
-sub-triangle may only be taken of a final block: crout_ec solves against a
-diagonal block only after that block's subtree has returned, and nothing
-writes into it afterwards.  Every other Tri starts an empty store.
+sub-triangle may only be solved against once its block is final: crout_ec
+solves against a diagonal block only after that block's subtree has
+returned, and nothing writes into it afterwards (its node checks only
+multiply by sub-triangles, which reads no inverse).  Every other Tri
+starts an empty store.
 """
-
-import functools
 
 import numpy as np
 
@@ -149,8 +152,8 @@ class Tri:
     def sub(self, o, n):
         """The diagonal sub-triangle on indices o..o+n-1, sharing the store.
 
-        Take it only once that block is final: a stored inverse is never
-        rebuilt.
+        Solve against it only once that block is final: a stored inverse
+        is never rebuilt.
         """
         return self._like(self.ctx, self.a[o:o + n, o:o + n], self.kind,
                           self._inv, self._off + o)
@@ -170,8 +173,25 @@ class Tri:
         return Mat(self.ctx, out)
 
     def mul_right(self, Y):
-        """Y.T as a plain array (one multiply, other triangle masked)."""
-        return self.ctx.matmul(Y, self.dense().a)
+        """Y.T as a plain array, by column panels of at most _PANEL.
+
+        Panel j..k-1 is Y[:, j:k] times a masked copy of T's diagonal block
+        plus the rest of Y times the panel's off-diagonal rectangle, read
+        as a view, so no copy of the whole triangle is made.
+        """
+        ctx, a, n = self.ctx, self.a, self.n
+        out = np.empty((Y.shape[0], n), dtype=np.int64)
+        for j in range(0, n, _PANEL):
+            k = min(j + _PANEL, n)
+            blk = a[j:k, j:k]
+            D = np.where(_STRICT[self.kind][:k - j, :k - j], blk, 0)
+            np.fill_diagonal(D, 1 if self.unit else blk.diagonal())
+            acc = ctx.matmul(Y[:, j:k], D)
+            off = np.s_[:j] if self.kind == "upper" else np.s_[k:]
+            if a[off, j:k].size:
+                acc = ctx.add(acc, ctx.matmul(Y[:, off], a[off, j:k]))
+            out[:, j:k] = acc
+        return out
 
     def cols(self, J):
         """T restricted to columns J, other triangle masked out."""
@@ -222,6 +242,21 @@ class Tri:
         return inv
 
 
+# Column panel width of Tri.mul_right.  Picked from a one-thread
+# microbenchmark (OpenBLAS 0.3.31, numpy 2.4.6) of Y.T for Y with 2 and 8
+# rows, T a transposed view of n = 256, 512 and 1024 over GF(7), GF(65537)
+# and GF(2^31 - 1): widths 64 and 128 stay within 25% of each other, 256
+# costs 20-70% more, and one product with a dense copy of T 1.5-10x more.
+_PANEL = 128
+
+# The identity and the masks of the strict triangles, read as their top
+# left b-by-b corners for any block size b up to _PANEL: the panels'
+# diagonal blocks and the base blocks of at most _TRSM_BASE rows.
+_EYE = np.eye(_PANEL, dtype=np.int64)
+_STRICT = {"upper": np.triu(_EYE == 0), "lower": np.tril(_EYE == 0)}
+for _mask in (_EYE, *_STRICT.values()):
+    _mask.flags.writeable = False
+
 # Largest diagonal block solved as one product with its inverse.  Picked
 # from a one-thread microbenchmark (OpenBLAS 0.3.31, numpy 2.4.6) of solves
 # with 1, 2, 50 and n rows at n = 128, 384 and 1024 over GF(7), GF(65537)
@@ -267,15 +302,6 @@ def _solve_rec(T, o, n, B):
         _solve_rec(T, o, h, B[:, :h])
 
 
-@functools.lru_cache(maxsize=None)
-def _eye_and_strict(b, kind):
-    """The b-by-b identity and the mask of kind's strict triangle."""
-    eye = np.eye(b, dtype=np.int64)
-    strict = np.triu(eye == 0) if kind == "upper" else np.tril(eye == 0)
-    eye.flags.writeable = strict.flags.writeable = False
-    return eye, strict
-
-
 def _inverse(ctx, a, kind, unit):
     """Inverse of the invertible b-by-b triangle a, through the kernel.
 
@@ -288,7 +314,7 @@ def _inverse(ctx, a, kind, unit):
                                    dtype=np.int64)
     if b == 1:
         return np.ones((1, 1), dtype=np.int64) if unit else d.reshape(1, 1)
-    eye, strict = _eye_and_strict(b, kind)
+    eye, strict = _EYE[:b, :b], _STRICT[kind][:b, :b]
     M = np.where(strict, a, 0)
     if not unit:
         M = ctx.mul(M, d)

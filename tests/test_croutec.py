@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from eclu import mat
+from eclu import croutec, mat
 from eclu.croutec import (GrpViolation, crout_ec, crout_reference,
                           make_grp_instance, rank_deficient_ec, rect_ec)
 from eclu.ff import FieldCtx, make_ext_field, make_prime_field
@@ -299,17 +299,33 @@ def test_croutec_structured_errors(ctx, pattern):
 
 
 def test_croutec_report_leaves_named_and_timed():
-    # clean n = 64: each leaf is a dense block check or a projection check
-    # of a U strip or an L strip, and each one reports its own time
+    # clean n = 64: the root's node check passes, and its freivalds_lu leaf
+    # is the only one
     rng = np.random.default_rng(8)
     A, L0, U0 = make_grp_instance(FBIG, 64, rng)
     _, rep = crout_ec(PackedLU.pack(L0, U0), A, TrsmEcParams(0.05, seed=1))
+    [leaf] = rep.iter_leaves()
+    assert leaf.stage == "freivalds_lu" and leaf.verified
+    assert leaf.wall_time > 0 and leaf.lam > 0
+    # one error in each root strip and one in the first diagonal block:
+    # each leaf is a dense block check, a projection check of a U strip or
+    # an L strip, or a node check, and each one reports its own time
+    A, L0, U0 = make_grp_instance(FBIG, 64, rng)
+    P = PackedLU.pack(L0.copy(), U0.copy())
+    for i, j in ((3, 3), (2, 40), (40, 2)):
+        P.mat.a[i, j] = FBIG.sadd(int(P.mat.a[i, j]), 1)
+    _, rep = crout_ec(P, A, TrsmEcParams(0.05, seed=1))
+    assert np.array_equal(P.mat.a, PackedLU.pack(L0, U0).mat.a)
     leaves = list(rep.iter_leaves())
     assert all(leaf.wall_time > 0 for leaf in leaves)
     assert {leaf.stage for leaf in leaves if leaf.dense_verified} == {
         "dense_block"}
     assert {leaf.stage for leaf in leaves if not leaf.dense_verified} == {
-        "trsmec_lower_left", "trsmec_upper_right"}
+        "trsmec_lower_left", "trsmec_upper_right", "freivalds_lu"}
+    assert [(leaf.stage, leaf.positions) for leaf in leaves
+            if leaf.positions] == [("dense_block", [(3, 3)]),
+                                   ("trsmec_lower_left", [(2, 40)]),
+                                   ("trsmec_upper_right", [(40, 2)])]
     # an error on U's diagonal is recomputed with its diagonal block, which
     # alone reports it
     A, L0, U0 = make_grp_instance(FBIG, 32, rng)
@@ -446,3 +462,96 @@ def test_croutec_root_report_times_itself_and_holds_largest_lam():
     assert sum(c.wall_time for c in rep.children) < rep.wall_time <= outside
     assert max(leaf.lam for leaf in leaves) > 0
     assert rep.lam == max(leaf.lam for leaf in leaves)
+
+
+def test_rankdef_croutec_stage_times_itself():
+    # the stage's time covers the node checks that failed and the pivots,
+    # which are no leaves, as well as its leaves
+    rng = np.random.default_rng(21)
+    A, L0, U0 = make_grp_instance(FBIG, (96, 80), rng, rank=60)
+    Lc, Uc = L0.copy(), U0.copy()
+    Lc.a[70, 5] = FBIG.sadd(int(Lc.a[70, 5]), 1)
+    r, _, _, rep = rank_deficient_ec(A, Lc, Uc, TrsmEcParams(0.05, seed=2))
+    assert r == 60
+    stage = rep.children[0]
+    assert stage.stage == "croutec"
+    assert sum(c.wall_time for c in stage.children) < stage.wall_time
+
+
+@pytest.mark.parametrize("ctx", [F2, F7, make_ext_field(2, 2), FBIG,
+                                 make_prime_field(2 ** 31 - 1)],
+                         ids=["gf2", "gf7", "gf4", "65537", "p31"])
+def test_croutec_clean_call_is_one_node_check(ctx, monkeypatch):
+    # a correct candidate passes the root's check: nothing is corrected or
+    # descended into, and the check's share keeps the budget within eps
+    loops = []
+
+    def spy(*args):
+        loops.append(args[-1])
+        return correction_loop(*args)
+
+    correction_loop = croutec._correction_loop
+    monkeypatch.setattr(croutec, "_correction_loop", spy)
+    rng = np.random.default_rng(17)
+    A, L0, U0 = make_grp_instance(ctx, 80, rng)
+    P = PackedLU.pack(L0, U0)
+    orig = P.mat.a.copy()
+    _, rep = crout_ec(P, A, TrsmEcParams(0.05, seed=3))
+    assert np.array_equal(P.mat.a, orig)
+    assert loops == []
+    assert [leaf.stage for leaf in rep.iter_leaves()] == ["freivalds_lu"]
+    assert rep.verified and rep.lam > 0
+    assert 0 < rep.epsilon_budget() <= 0.05
+
+
+def test_croutec_descends_only_along_a_wrong_block():
+    # a wrong 16-by-16 block at the bottom right: the nodes off its path
+    # pass their checks, so each of the log2(256/16) nodes on it corrects
+    # its two strips and no other strip is visited
+    rng = np.random.default_rng(18)
+    n = 256
+    A, L0, U0 = make_grp_instance(FBIG, n, rng)
+    truth = PackedLU.pack(L0, U0).mat.a
+    P = PackedLU.pack(L0.copy(), U0.copy())
+    blk = P.mat.a[n - 16:, n - 16:]
+    blk[...] = FBIG.add(blk, FBIG.rand_nonzero(rng, blk.shape))
+    wrong = _differ(P.mat.a, truth)
+    _, rep = crout_ec(P, A, TrsmEcParams(0.05, seed=7))
+    assert np.array_equal(P.mat.a, truth)
+    assert _reported_once(rep) == wrong
+    strips = [leaf for leaf in rep.iter_leaves()
+              if leaf.stage.startswith("trsmec")]
+    assert len(strips) <= 2 * int(np.log2(n // 16))
+    assert rep.epsilon_budget() <= 0.05
+
+
+def test_croutec_corrects_a_deep_node_that_factors_its_own_block():
+    # the trailing node on 192..255 holds the factors of A_s itself rather
+    # than of A_s - L_prefix . U_prefix: a check without the prefix product
+    # would pass it
+    rng = np.random.default_rng(19)
+    n, s = 256, np.s_[192:, 192:]
+    A, L0, U0 = make_grp_instance(FBIG, n, rng)
+    truth = PackedLU.pack(L0, U0).mat.a
+    P = PackedLU.pack(L0.copy(), U0.copy())
+    P.mat.a[s] = crout_reference(Mat(FBIG, A.a[s])).mat.a
+    wrong = _differ(P.mat.a, truth)
+    assert wrong and min(min(pos) for pos in wrong) >= 192
+    _, rep = crout_ec(P, A, TrsmEcParams(0.05, seed=8))
+    assert np.array_equal(P.mat.a, truth)
+    assert _reported_once(rep) == wrong
+    assert rep.corrected == len(wrong)
+    assert rep.epsilon_budget() <= 0.05
+
+
+def test_croutec_exact_product_with_zero_pivot_still_raises():
+    # L.U = A holds exactly, so only the check's diagonal guard sends the
+    # nodes holding U[20, 20] = 0 down to the pivot that raises
+    rng = np.random.default_rng(20)
+    _, L0, U0 = make_grp_instance(FBIG, 64, rng)
+    U0.a[20, 20] = 0
+    A = multiply(L0, U0)
+    P = PackedLU.pack(L0, U0)
+    with pytest.raises(GrpViolation) as err:
+        crout_ec(P, A, TrsmEcParams(0.05, seed=9))
+    assert err.value.index == 20

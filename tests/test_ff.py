@@ -1,7 +1,10 @@
 """Field contexts: arithmetic, extensions, high-order elements, sampling."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -204,6 +207,32 @@ def test_op_counter_moves():
     A = ctx.rand(rng, (10, 10))
     ctx.matmul(A, A)
     assert ff.op_count() > before
+
+
+def test_op_counting_off_until_reset(monkeypatch):
+    # a fresh process does not count
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ff.__file__)))
+    code = ("import numpy as np; from eclu import ff; "
+            "F = ff.make_prime_field(7); a = np.ones((4, 4), dtype=np.int64); "
+            "F.add(F.matmul(a, a), a); print(ff.op_count(), ff._COUNTING)")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env=dict(os.environ,
+                                                       PYTHONPATH=src))
+    assert out.stdout.split() == ["0", "False"]
+
+    # while counting is off, no call site evaluates a size
+    def no_sizes(a):
+        raise AssertionError("_sz evaluated while counting is off")
+
+    monkeypatch.setattr(ff, "_COUNTING", False)
+    monkeypatch.setattr(ff, "_sz", no_sizes)
+    before = ff.op_count()
+    rng = np.random.default_rng(1)
+    for ctx in (make_prime_field(7), make_ext_field(7, 2)):
+        a = ctx.rand_nonzero(rng, (3, 3))
+        ctx.neg(ctx.sub(ctx.add(ctx.mul(a, a), a), ctx.matmul(a, a)))
+        ctx.sinv(ctx.smul(ctx.sadd(2, 3), ctx.spow(3, 2)))
+    assert ff.op_count() == before
 
 
 # a prime on each side of the thresholds of PrimeField.matmul on p: 2^24

@@ -281,3 +281,35 @@ def test_fresh_tri_over_a_changed_diagonal_block_solves_correctly():
     want = B.copy()
     Tri(Mat(FBIG, a), "lower").solve_right(B)
     assert np.array_equal(oracle_product(FBIG, B, dense), want)
+
+
+# Tri.mul_right against the dense product; the sizes cross the panel width
+MUL_FIELDS = [make_prime_field(p) for p in (2, 7, 65537, 2 ** 31 - 1,
+                                            2 ** 61 - 1)]
+MUL_FIELDS.insert(2, make_ext_field(7, 3))
+
+
+@pytest.mark.parametrize("ctx", MUL_FIELDS, ids=repr)
+def test_tri_mul_right_matches_dense_product(ctx):
+    b = mat._PANEL
+    rng = np.random.default_rng(ctx.q % 1021)
+    size = 3 * b + 12
+    # a packed buffer with random codes everywhere, the stored diagonal
+    # included: a unit triangle must not read it, neither the other half
+    buf = ctx.rand(rng, (size, size))
+    buf[np.arange(size), np.arange(size)] = ctx.rand_nonzero(rng, (size,))
+    other = {"upper": "lower", "lower": "upper"}
+    for n in (1, b - 1, b, b + 1, 3 * b + 5):
+        o = size - n - 3
+        for kind in ("upper", "lower"):
+            for unit in (False, True):
+                ts = [Tri(Mat(ctx, buf[:n, :n]), kind, unit=unit),
+                      Tri(Mat(ctx, buf), kind, unit=unit).sub(o, n),
+                      Tri(Mat(ctx, buf), other[kind], unit=unit).T.sub(o, n)]
+                for i, rows in enumerate((0, 1, 2, 40)):
+                    T = ts[(i + n) % 3]
+                    assert T.kind == kind
+                    Y = ctx.rand(rng, (rows, n))
+                    got = T.mul_right(Y)
+                    assert got.shape == (rows, n)
+                    assert np.array_equal(got, ctx.matmul(Y, T.dense().a))
