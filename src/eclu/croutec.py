@@ -40,12 +40,14 @@ def crout_reference(A):
     """
     if A.rows != A.cols:
         raise DimensionError("square matrix required")
-    M = Mat.zeros(A.ctx, A.rows, A.rows)
-    _crout(A.ctx, M.a, A.a, 0, A.rows)
-    return PackedLU(M)
+    P = PackedLU(Mat.zeros(A.ctx, A.rows, A.rows))
+    _crout(P.lower_tri(), P.upper_tri(), A.a, 0, A.rows)
+    return P
 
 
-def _crout(ctx, M, A, n1, nrest):
+def _crout(L, U, A, n1, nrest):
+    """Factor the trailing block from n1 into M's root triangles L, U."""
+    ctx, M = L.ctx, L.a
     if nrest == 0:
         return
     if nrest == 1:
@@ -56,15 +58,15 @@ def _crout(ctx, M, A, n1, nrest):
         M[n1, n1] = piv
         return
     n2 = (nrest + 1) // 2
-    _crout(ctx, M, A, n1, n2)
+    _crout(L, U, A, n1, n2)
     r1 = slice(0, n1)
     r2 = slice(n1, n1 + n2)
     r3 = slice(n1 + n2, n1 + nrest)
     M[r2, r3] = ctx.sub(A[r2, r3], ctx.matmul(M[r2, r1], M[r1, r3]))
-    Tri(Mat(ctx, M[r2, r2]), "lower", unit=True).solve_left(M[r2, r3])
+    L.sub(n1, n2).solve_left(M[r2, r3])
     M[r3, r2] = ctx.sub(A[r3, r2], ctx.matmul(M[r3, r1], M[r1, r2]))
-    Tri(Mat(ctx, M[r2, r2]), "upper").solve_right(M[r3, r2])
-    _crout(ctx, M, A, n1 + n2, nrest - n2)
+    U.sub(n1, n2).solve_right(M[r3, r2])
+    _crout(L, U, A, n1 + n2, nrest - n2)
 
 
 def crout_ec(packed, A, params):
@@ -102,7 +104,7 @@ def _crout_ec(L, U, A, n1, nrest, params, rep):
     """
     ctx, M = L.ctx, L.a
     if nrest <= _BLOCK_CHECK:
-        _dense_block(ctx, M, A, n1, nrest, params.eps, rep)
+        _dense_block(L, U, A, n1, nrest, params.eps, rep)
         return
     check = _node_check(L, U, A, n1, nrest, params)
     if check.verified:
@@ -163,18 +165,20 @@ def _node_check(L, U, A, n1, ns, params):
                             wall_time=time.perf_counter() - t0)
 
 
-def _dense_block(ctx, M, A, n1, ns, eps, parent):
+def _dense_block(L, U, A, n1, ns, eps, parent):
     """Deterministic check of a small diagonal block; recomputes it if wrong.
 
     By the elimination order every column left of n1 is already final, so
     B = A - (L prefix).(U prefix) restricted to the block is exact, and
     L_b . U_b = B with a nonzero U_b diagonal determines both factors
     uniquely.  A failed block is recomputed by _crout in M itself, so that
-    every entry before a zero pivot is final when GrpViolation is raised.
+    every entry before a zero pivot is final when GrpViolation is raised;
+    its solves store inverses only of sub-blocks it has made final.
     The leaf joins parent even then, reporting the entries that changed as
     one correcting round.
     """
     t0 = time.perf_counter()
+    ctx, M = L.ctx, L.a
     rep = CorrectionReport(stage="dense_block", epsilon=eps, rounds=1,
                            verified=True, dense_verified=True)
     s = slice(n1, n1 + ns)
@@ -184,7 +188,7 @@ def _dense_block(ctx, M, A, n1, ns, eps, parent):
     try:
         if not (Ms.diagonal().all() and np.array_equal(LU, B)):
             rep.correcting_rounds = 1
-            _crout(ctx, M, A, n1, ns)
+            _crout(L, U, A, n1, ns)
     finally:
         rep.positions = list(map(tuple, np.argwhere(Ms != before).tolist()))
         rep.corrected = len(rep.shift(n1, n1).positions)

@@ -444,16 +444,6 @@ class ExtField(FieldCtx):
         C %= p
         return (self._pw @ C).reshape(m, n)
 
-    def coerce_array(self, a, base):
-        """Map degree-0 codes back to the base field; raise on non-constants."""
-        if base.p != self.p or base.nu != 1:
-            raise FieldError("can only coerce down to the prime subfield")
-        arr = np.asarray(a)
-        if np.any(arr >= self.p):
-            raise FieldError("non-constant element cannot be coerced to GF(%d)"
-                             % self.p)
-        return arr
-
     # -- construction helpers ---------------------------------------------
 
     def _build_tables(self):
@@ -614,6 +604,11 @@ def make_ext_field(p, nu):
     return _FIELD_CACHE[key]
 
 
+def extension_degree(base, m):
+    """Least d with base.q^d > m: the degree over base of extend_field."""
+    return next(d for d in range(1, m + 2) if base.q ** d > m)
+
+
 def extend_field(base, m):
     """Smallest-degree extension of `base` with more than m elements.
 
@@ -622,11 +617,7 @@ def extend_field(base, m):
     """
     if m < base.q:
         raise FieldError("no extension needed: m=%d < #F=%d" % (m, base.q))
-    nu = 1
-    qq = base.q
-    while qq <= m:
-        qq *= base.q
-        nu += 1
+    nu = extension_degree(base, m)
     if base.nu == 1:
         return make_ext_field(base.p, nu)
     # extension of an extension: build GF(p^(a*nu)) and embed via a root of
@@ -671,10 +662,8 @@ def _embedding(base, big):
 
 def embed_up(base, big, arr):
     """Map an array of base-field codes into the bigger field."""
-    if base == big:
-        return arr
-    if base.nu == 1:
-        return arr  # constants keep their code
+    if base == big or base.nu == 1:
+        return arr  # a prime field's elements keep their codes
     table, _ = _embedding(base, big)
     return table[arr]
 
@@ -684,7 +673,10 @@ def coerce_down(base, big, arr):
     if base == big:
         return arr
     if base.nu == 1:
-        return big.coerce_array(arr, base)
+        if np.any(arr >= base.p):  # constants keep their code
+            raise FieldError("non-constant element cannot be coerced to %r"
+                             % base)
+        return arr
     _, inverse = _embedding(base, big)
     out = inverse[arr]
     if np.any(out < 0):

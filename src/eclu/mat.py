@@ -14,10 +14,10 @@ the block's inverse.  A Tri stores the inverses it builds, keyed by kind,
 absolute offset and size, for as long as it lives, and its sub-triangles
 and transposes share that store.  A stored inverse is never rebuilt, so a
 sub-triangle may only be solved against once its block is final: crout_ec
-solves against a diagonal block only after that block's subtree has
-returned, and nothing writes into it afterwards (its node checks only
-multiply by sub-triangles, which reads no inverse).  Every other Tri
-starts an empty store.
+and crout_reference solve against a diagonal block only after that block's
+subtree has returned, and nothing writes into it afterwards (the node
+checks only multiply by sub-triangles, which reads no inverse).  Every
+other Tri starts an empty store.
 """
 
 import numpy as np

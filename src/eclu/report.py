@@ -16,8 +16,8 @@ class CorrectionReport:
     correcting_rounds: int = 0     # passes that found erroneous columns
     lam: int = 0                   # projections; a parent holds its largest child's
     epsilon: float = 0.0
-    extended: bool = False
-    ext_degree: int = 1
+    extended: bool = False         # recovery field is an extension (m >= q),
+    ext_degree: int = 1            # of this degree; built only to recover
     seed: object = None
     wall_time: float = 0.0
     verified: bool = False         # final Freivalds pass (probabilistic)

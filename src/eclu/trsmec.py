@@ -9,6 +9,12 @@ clear in a round, the guess k doubles.  The loop ends when a projection
 finds no erroneous column at all, which bounds the failure probability of
 the final state by the requested epsilon, or with one deterministic dense
 solve when `dense_cheaper` finds that cheaper than the round's recovery.
+
+All but the recovery runs in R's own field: projections of lam =
+freivalds_lambda(q, n, eps) rows, residual solves, commits and dense solve.
+Recovery needs theta of order at least m, so on a field of at most m
+elements a recovery round lifts its operands to the smallest extension
+GF(p^nu) that has one, built on first use, and coerces the values back.
 """
 
 import functools
@@ -178,8 +184,8 @@ def _correction_loop(R, H, T, params, stage):
         rep.wall_time = time.perf_counter() - t0
         return rep
 
-    ell = H.inner
-    if dense_cheaper(R.ctx.q, params.eps, m, n, ell):
+    base, ell = R.ctx, H.inner
+    if dense_cheaper(base.q, params.eps, m, n, ell):
         # narrow system: evaluating H densely and checking R T = H costs no
         # more than one projection round, so correct deterministically
         rep.rounds = 1
@@ -187,21 +193,13 @@ def _correction_loop(R, H, T, params, stage):
         rep.wall_time = time.perf_counter() - t0
         return rep
 
-    base = R.ctx
-    ctx = base
-    if m >= base.q:
-        ctx = ff.extend_field(base, m)
-        rep.extended = True
-        rep.ext_degree = ctx.nu // base.nu
-    Ra = ff.embed_up(base, ctx, R.a) if ctx is not base else R.a
-    Hx = H if ctx is base else H.lift(ctx, base)
-    Tx = T if ctx is base else T.with_ctx(ctx, ff.embed_up(base, ctx, T.a))
-
     rng = params.generator()
-    lam = freivalds_lambda(ctx.q, n, params.eps)
+    lam = freivalds_lambda(base.q, n, params.eps)
     rep.lam = lam
     cap = iteration_cap(m, n)
-    tab = None  # power table built lazily, only when a correction is needed
+    rep.extended = m >= base.q  # theta's field, built on first recovery
+    rep.ext_degree = ff.extension_degree(base, m)
+    tab = None
 
     k_guess = 1
     k_done = 0
@@ -214,23 +212,22 @@ def _correction_loop(R, H, T, params, stage):
             raise MonteCarloFailure(
                 "correction did not converge within %d rounds "
                 "(failure bound %g)" % (cap, params.eps))
-        W = ctx.rand(rng, (lam, m))
+        W = base.rand(rng, (lam, m))
         # D = W H - W (R+E) T; zero iff no erroneous column remains (T is
         # invertible), found without the triangular solve
-        D = _projected_gap(ctx, W, Hx, Ra, pending, Tx)
+        D = _projected_gap(base, W, H, R.a, pending, T)
         if not D.any():
             bad = np.empty(0, dtype=np.intp)
         else:
-            resid = D  # (X - WR - WE) T, same column count
-            Tx.solve_right(resid)
-            bad = np.nonzero(resid.any(axis=0))[0]
+            T.solve_right(D)  # (W H T^-1 - W R - W E), same column count
+            bad = np.nonzero(D.any(axis=0))[0]
         c = len(bad)
         # commit pending corrections that the projection did not contradict
         bad_set = set(int(j) for j in bad)
         for j, (ri, rv) in pending.items():
             if j in bad_set:
                 continue
-            Ra[ri, j] = ctx.add(Ra[ri, j], rv)
+            R.a[ri, j] = base.add(R.a[ri, j], rv)
             k_done += len(ri)
             rep.positions.extend((int(r), int(j)) for r in ri)
         pending = {}
@@ -239,31 +236,20 @@ def _correction_loop(R, H, T, params, stage):
         c_prev = c
         if c == 0:
             break
-        if dense_cheaper(ctx.q, params.eps, m, n, ell, c, k_guess - k_done):
-            # the dense result overwrites whatever is still pending; R first
-            # takes the commits so far when they live in a separate lifted copy
-            if Ra is not R.a:
-                R.a[...] = ff.coerce_down(base, ctx, Ra)
+        if dense_cheaper(base.q, params.eps, m, n, ell, c, k_guess - k_done):
+            # the dense result overwrites whatever is still pending
             _dense_solve(R, H, T, rep)
             rep.wall_time = time.perf_counter() - t0
             return rep
         rep.correcting_rounds += 1
         if tab is None:
-            tab = ff.element_of_order_at_least(ctx, m, rng=rng)
+            big = ff.extend_field(base, m) if rep.extended else base
+            tab = ff.element_of_order_at_least(big, m, rng=rng)
         s = min(m, max(1, math.ceil(2 * (k_guess - k_done) / c)))
-        # projected residual system: G (P^T T P) = V (H - R T) P
-        G = _vand_residual(ctx, tab, s, Hx, Ra, Tx, bad)
-        Tx.principal(bad).solve_right(G)
-        recovered = batch_interpolate(ctx, G, s, tab)
-        for j, col in zip(bad, recovered):
-            if col is not None and col.indices:
-                pending[int(j)] = (np.array(col.indices, dtype=np.intp),
-                                   np.array(col.values, dtype=np.int64))
+        pending = _recover(base, tab, s, H, R, T, bad)
 
     rep.verified = True  # the loop exits on a clean Freivalds projection
     rep.corrected = k_done
-    if ctx is not base:
-        R.a[...] = ff.coerce_down(base, ctx, Ra)
     rep.wall_time = time.perf_counter() - t0
     return rep
 
@@ -299,20 +285,36 @@ def _projected_gap(ctx, W, H, Ra, pending, T):
     return ctx.sub(X0, T.mul_right(WR))
 
 
-def _vand_residual(ctx, tab, s, H, Ra, T, bad):
-    """G0 = V.C.P - (V.A)(B.P) - (V.R)(T.P) for the selected columns."""
+def _recover(base, tab, s, H, R, T, bad):
+    """col -> (row indices, values) of E on the bad columns, over base.
+
+    Only this step runs in big, the field of theta and its powers tab: with
+    V = (theta^(i j)) of 2s rows, G (P^T T P) = V (H - R T) P = V E P is
+    formed from the lifted operands, solved, and interpolated; a value
+    outside base fails its column.
+    """
+    big = tab.ctx
+    up = functools.partial(ff.embed_up, base, big)
     rows = 2 * s
-    sel = H.select_cols(bad)
-    acc = None
+    sel = H.select_cols(bad).lift(big, base)
+    VR = apply_vandermonde(big, tab, rows, up(R.a))
+    G = big.neg(big.matmul(VR, up(T.cols(bad).a)))
     if sel.C is not None:
-        acc = apply_vandermonde(ctx, tab, rows, sel.C.a)
+        G = big.add(G, apply_vandermonde(big, tab, rows, sel.C.a))
     if sel.A is not None:
-        VA = apply_vandermonde(ctx, tab, rows, sel.A.a)
-        prod = ctx.matmul(VA, sel.B.a)
-        if sel.sign < 0:
-            acc = ctx.neg(prod) if acc is None else ctx.sub(acc, prod)
-        else:
-            acc = prod if acc is None else ctx.add(acc, prod)
-    VR = apply_vandermonde(ctx, tab, rows, Ra)
-    acc = ctx.sub(acc, ctx.matmul(VR, T.cols(bad).a))
-    return acc
+        VA = apply_vandermonde(big, tab, rows, sel.A.a)
+        prod = big.matmul(VA, sel.B.a)
+        G = big.sub(G, prod) if sel.sign < 0 else big.add(G, prod)
+    P = T.principal(bad)
+    P.with_ctx(big, up(P.a)).solve_right(G)
+    pending = {}
+    for j, col in zip(bad, batch_interpolate(big, G, s, tab)):
+        if col is None or not col.indices:
+            continue
+        try:
+            values = ff.coerce_down(base, big,
+                                    np.array(col.values, dtype=np.int64))
+        except ff.FieldError:
+            continue
+        pending[int(j)] = (np.array(col.indices, dtype=np.intp), values)
+    return pending

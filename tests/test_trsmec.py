@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from eclu import trsmec
+from eclu import ff, trsmec
 from eclu.blackbox import BlackboxRHS
 from eclu.croutec import crout_ec, make_grp_instance
 from eclu.ff import make_ext_field, make_prime_field
 from eclu.mat import Mat, PackedLU, Tri, multiply
 from eclu.syssolve import tr_inv_ec
+from eclu.sparseint import batch_interpolate
 from eclu.trsmec import (TrsmEcParams, _projected_gap, dense_cheaper,
                          freivalds_lambda, trsm_ec_lower_left,
                          trsm_ec_lower_right, trsm_ec_upper_left,
@@ -337,6 +338,86 @@ def test_dense_cheaper_never_asked_about_a_clean_round(monkeypatch):
     assert any(c is not None for c in calls)
 
 
+@pytest.fixture
+def ext_calls(monkeypatch):
+    """Counts of the ExtField.matmul and ff.extend_field calls of a test."""
+    calls = {"matmul": 0, "extend": 0}
+    matmul, extend = ff.ExtField.matmul, ff.extend_field
+
+    def spy_matmul(self, A, B):
+        calls["matmul"] += 1
+        return matmul(self, A, B)
+
+    def spy_extend(base, m):
+        calls["extend"] += 1
+        return extend(base, m)
+
+    monkeypatch.setattr(ff.ExtField, "matmul", spy_matmul)
+    monkeypatch.setattr(ff, "extend_field", spy_extend)
+    return calls
+
+
+def test_gf7_lu_at_a_tenth_wrong_stays_in_the_base_field(ext_calls):
+    # n = 128 and k = n^2/10: every strip has m >= 7 rows and goes dense
+    # after one projected round, which runs in GF(7) itself
+    rng = np.random.default_rng(24)
+    A, L0, U0 = make_grp_instance(F7, 128, rng)
+    P = PackedLU.pack(L0, U0)
+    truth = P.mat.a.copy()
+    corrupt(F7, P.mat, 128 * 128 // 10, rng)
+    _, rep = crout_ec(P, A, TrsmEcParams(0.05, seed=24))
+    assert np.array_equal(P.mat.a, truth)
+    assert rep.lam > 0
+    assert ext_calls == {"matmul": 0, "extend": 0}
+
+
+@pytest.mark.parametrize("p", [2, 7])
+def test_clean_solve_verifies_in_the_base_field(p, ext_calls):
+    # k = 0 with m >= q: a projected round (lam > 0) finds nothing to
+    # recover, so the extension that recovery would need is never built
+    ctx = make_prime_field(p)
+    rng = np.random.default_rng(25)
+    R, H, U = make_right_instance(ctx, 128, 128, 0, rng)
+    truth = R.a.copy()
+    rep = trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=25))
+    assert np.array_equal(R.a, truth)
+    assert rep.verified and rep.lam > 0 and rep.correcting_rounds == 0
+    assert rep.extended and rep.ext_degree == (8 if p == 2 else 3)
+    assert ext_calls == {"matmul": 0, "extend": 0}
+
+
+def test_value_outside_the_base_field_fails_its_column(monkeypatch):
+    # recovery over GF(2) with m = 200 runs in GF(2^8).  One recovered value
+    # v becomes x + v, outside GF(2) but equal to v mod 2, so only the
+    # coercion can reject it: the column must not be committed, so a later
+    # round recovers it again, and the call must still end exact
+    rng = np.random.default_rng(26)
+    F2 = make_prime_field(2)
+    R, H, U = make_right_instance(F2, 200, 128, 4, rng)
+    truth = R.a.copy()
+    corrupt(F2, R, 6, rng)
+    wrong = set(zip(*(x.tolist() for x in np.nonzero(R.a != truth))))
+    calls, poisoned = [], []
+
+    def poison(ctx, G, s, tab):
+        out = batch_interpolate(ctx, G, s, tab)
+        calls.append([(c.indices, list(c.values)) for c in out if c])
+        for col in out:
+            if not poisoned and col is not None and col.indices:
+                poisoned.append((len(calls), (col.indices, list(col.values))))
+                col.values[0] += 2
+        return out
+
+    monkeypatch.setattr(trsmec, "batch_interpolate", poison)
+    rep = trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=26))
+    first, col = poisoned[0]
+    assert any(col in later for later in calls[first:])
+    assert rep.extended and rep.ext_degree == 8
+    assert np.array_equal(R.a, truth)
+    assert len(rep.positions) == len(set(rep.positions))
+    assert set(rep.positions) == wrong and rep.corrected == len(wrong)
+
+
 def _spoil(ctx, a, idx, rng):
     """Add a nonzero delta to every entry a[idx]; returns their positions."""
     sub = a[idx]
@@ -349,11 +430,11 @@ def _spoil(ctx, a, idx, rng):
 @pytest.mark.parametrize("ctx", [F7, make_ext_field(2, 2), FBIG],
                          ids=["gf7", "gf4", "65537"])
 @pytest.mark.parametrize("pattern", ["row", "col"])
-def test_full_row_or_column_goes_dense(ctx, pattern):
+def test_full_row_or_column_goes_dense(ctx, pattern, ext_calls):
     # a whole wrong row gives n bad columns, a whole wrong column one bad
     # column with m errors; either way a dense solve ends the loop (lam > 0:
     # after a projected round), and the report lists each wrong entry once,
-    # also over GF(7) and GF(4), where the loop runs in a lifted field.  The
+    # also over GF(7) and GF(4), whose recovery field is an extension.  The
     # column case adds single errors that are committed before the solve.
     rng = np.random.default_rng(22)
     R, H, U = make_right_instance(ctx, 96, 64, 32, rng)
@@ -367,5 +448,8 @@ def test_full_row_or_column_goes_dense(ctx, pattern):
     assert np.array_equal(R.a, truth)
     assert rep.dense_verified and rep.lam > 0
     assert rep.extended == (ctx.q < 96)
+    # the extension is built iff a recovery round ran before the dense solve
+    recovered = rep.correcting_rounds > 1
+    assert (ext_calls["extend"] > 0) == (rep.extended and recovered)
     assert set(rep.positions) == wrong
     assert rep.corrected == len(rep.positions) == len(wrong)
