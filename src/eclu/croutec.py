@@ -8,9 +8,10 @@ blackbox corrections without ever forming an intermediate product.  The
 corrector first checks each node with one Freivalds projection of its
 trailing block and skips the node's subtree when the check passes, so a
 correct candidate costs one projection of the whole product.  A node that
-fails descends: each small diagonal block is checked densely, and
-recomputed when wrong, and each strip goes through the triangular
-correction loop.  Every report leaf holds its positions in the packed
+fails descends: each small diagonal block is checked densely, and each
+strip goes through the triangular correction loop.  The reference and a
+wrong block share one leaf kernel, in-place elimination of the block's
+Schur complement.  Every report leaf holds its positions in the packed
 matrix's coordinates.
 """
 
@@ -46,16 +47,16 @@ def crout_reference(A):
 
 
 def _crout(L, U, A, n1, nrest):
-    """Factor the trailing block from n1 into M's root triangles L, U."""
+    """Factor the trailing block from n1 into M's root triangles L, U.
+
+    Leaves of at most _BLOCK_CHECK rows go to _factor_leaf; each level
+    solves against the roots' sub-triangles, sharing their inverses.
+    """
     ctx, M = L.ctx, L.a
-    if nrest == 0:
-        return
-    if nrest == 1:
-        prod = ctx.matmul(M[n1:n1 + 1, :n1], M[:n1, n1:n1 + 1])
-        piv = ctx.ssub(int(A[n1, n1]), int(prod[0, 0]))
-        if piv == 0:
-            raise GrpViolation(n1)
-        M[n1, n1] = piv
+    if nrest <= _BLOCK_CHECK:
+        s = slice(n1, n1 + nrest)
+        _factor_leaf(ctx, M[s, s],
+                     ctx.sub(A[s, s], ctx.matmul(M[s, :n1], M[:n1, s])), n1)
         return
     n2 = (nrest + 1) // 2
     _crout(L, U, A, n1, n2)
@@ -67,6 +68,23 @@ def _crout(L, U, A, n1, nrest):
     M[r3, r2] = ctx.sub(A[r3, r2], ctx.matmul(M[r3, r1], M[r1, r2]))
     U.sub(n1, n2).solve_right(M[r3, r2])
     _crout(L, U, A, n1 + n2, nrest - n2)
+
+
+def _factor_leaf(ctx, Ms, B, n1):
+    """Factor the leaf at n1 into its block Ms of M by right-looking
+    elimination, in field ops, of its Schur complement B, which it
+    overwrites.  A zero pivot i raises GrpViolation(n1 + i) once the L
+    columns and U rows before i are in Ms, leaving the rest of Ms as it was.
+    """
+    for i in range(B.shape[0]):
+        piv = int(B[i, i])
+        if piv == 0:
+            Ms[:i], Ms[i:, :i] = B[:i], B[i:, :i]
+            raise GrpViolation(n1 + i)
+        col = B[i + 1:, i] = ctx.mul(B[i + 1:, i], ctx.sinv(piv))
+        B[i + 1:, i + 1:] = ctx.sub(B[i + 1:, i + 1:],
+                                    ctx.mul(col[:, None], B[i, i + 1:]))
+    Ms[...] = B
 
 
 def crout_ec(packed, A, params):
@@ -98,13 +116,12 @@ def _crout_ec(L, U, A, n1, nrest, params, rep):
     """Correct the trailing block from n1 of the packed buffer M.
 
     A node larger than _BLOCK_CHECK is checked first and skipped when the
-    check passes.  L and U are M's root triangles.  Each level solves against their
-    sub-triangles on n1..n1+n2-1, final once the first recursive call
-    returns, so every level reuses the block inverses they store.
+    check passes; a smaller one is a leaf, checked by _dense_block.  L and
+    U are M's root triangles, whose sub-triangles serve as in _crout.
     """
     ctx, M = L.ctx, L.a
     if nrest <= _BLOCK_CHECK:
-        _dense_block(L, U, A, n1, nrest, params.eps, rep)
+        _dense_block(ctx, M, A, n1, nrest, params.eps, rep)
         return
     check = _node_check(L, U, A, n1, nrest, params)
     if check.verified:
@@ -135,7 +152,12 @@ def _crout_ec(L, U, A, n1, nrest, params, rep):
     _crout_ec(L, U, A, n1 + n2, nrest - n2, quarter, rep)
 
 
-# largest diagonal block that is checked, and recomputed when wrong, densely
+# Leaf size of both Crout recursions, and largest block crout_ec checks
+# densely.  From a one-thread sweep (OpenBLAS 0.3.31, numpy 2.4.6) of leaves
+# 8..64 over crout_reference (n = 256..1024; GF(7), GF(65537), GF(2^31-1))
+# and crout_ec (GF(7), n = 128, k = 1639; GF(65537), n = 1024, k = 0, 256):
+# 16..48 are within noise, 8 slows the reference 6-36% and 64 by 16-120%,
+# except at 2^31 - 1.
 _BLOCK_CHECK = 16
 
 
@@ -165,20 +187,17 @@ def _node_check(L, U, A, n1, ns, params):
                             wall_time=time.perf_counter() - t0)
 
 
-def _dense_block(L, U, A, n1, ns, eps, parent):
+def _dense_block(ctx, M, A, n1, ns, eps, parent):
     """Deterministic check of a small diagonal block; recomputes it if wrong.
 
     By the elimination order every column left of n1 is already final, so
     B = A - (L prefix).(U prefix) restricted to the block is exact, and
     L_b . U_b = B with a nonzero U_b diagonal determines both factors
-    uniquely.  A failed block is recomputed by _crout in M itself, so that
-    every entry before a zero pivot is final when GrpViolation is raised;
-    its solves store inverses only of sub-blocks it has made final.
-    The leaf joins parent even then, reporting the entries that changed as
-    one correcting round.
+    uniquely.  A failed block is refactored from that same B by
+    _factor_leaf; the leaf joins parent even when a zero pivot raises,
+    reporting the entries that changed as one correcting round.
     """
     t0 = time.perf_counter()
-    ctx, M = L.ctx, L.a
     rep = CorrectionReport(stage="dense_block", epsilon=eps, rounds=1,
                            verified=True, dense_verified=True)
     s = slice(n1, n1 + ns)
@@ -188,7 +207,7 @@ def _dense_block(L, U, A, n1, ns, eps, parent):
     try:
         if not (Ms.diagonal().all() and np.array_equal(LU, B)):
             rep.correcting_rounds = 1
-            _crout(L, U, A, n1, ns)
+            _factor_leaf(ctx, Ms, B, n1)
     finally:
         rep.positions = list(map(tuple, np.argwhere(Ms != before).tolist()))
         rep.corrected = len(rep.shift(n1, n1).positions)

@@ -172,7 +172,7 @@ class PrimeField(FieldCtx):
 
     def mul(self, a, b):
         if _COUNTING:
-            _bump(max(_sz(a), _sz(b)))
+            _bump(np.broadcast(a, b).size)
         if self._big:
             r = (np.asarray(a, dtype=object) * np.asarray(b, dtype=object)) % self.p
             return r.astype(np.int64) if isinstance(r, np.ndarray) else int(r)
@@ -356,7 +356,7 @@ class ExtField(FieldCtx):
 
     def mul(self, a, b):
         if _COUNTING:
-            _bump(max(_sz(a), _sz(b)))
+            _bump(np.broadcast(a, b).size)
         la = self._log[a]
         lb = self._log[b]
         r = np.where((la < 0) | (lb < 0), 0, self._exp[(la + lb) % self._q1])

@@ -15,9 +15,9 @@ absolute offset and size, for as long as it lives, and its sub-triangles
 and transposes share that store.  A stored inverse is never rebuilt, so a
 sub-triangle may only be solved against once its block is final: crout_ec
 and crout_reference solve against a diagonal block only after that block's
-subtree has returned, and nothing writes into it afterwards (the node
-checks only multiply by sub-triangles, which reads no inverse).  Every
-other Tri starts an empty store.
+subtree has returned, and nothing writes into it afterwards (node checks
+only multiply by sub-triangles and Crout leaves only eliminate, neither
+reads an inverse).  Every other Tri starts an empty store.
 """
 
 import numpy as np

@@ -190,5 +190,6 @@ def apply_vandermonde(ctx, tab, nrows, M):
     if m > tab.m:
         raise ValueError("row dimension exceeds the power table")
     live = np.nonzero(Ma.any(axis=1))[0]
-    out = ctx.matmul(vandermonde_cols(ctx, tab, nrows, live), Ma[live])
+    out = ctx.matmul(vandermonde_cols(ctx, tab, nrows, live),
+                     Ma if len(live) == m else Ma[live])
     return Mat(ctx, out) if isinstance(M, Mat) else out

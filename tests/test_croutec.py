@@ -66,6 +66,115 @@ def test_reference_rejects_non_grp():
         crout_reference(Mat(F7, [[0, 1], [1, 0]]))
 
 
+# crout_reference and its leaf against a Python-int Doolittle LU.  The
+# sizes cross the leaf size croutec._BLOCK_CHECK = 16 and its odd splits.
+LEAF_FIELDS = [make_prime_field(p) for p in (2, 7, 2 ** 16 + 1, 2 ** 31 - 1,
+                                             2 ** 61 - 1)]
+LEAF_FIELDS += [make_ext_field(7, 3)]
+
+
+def oracle_ops(ctx):
+    """(mul, sub, inv) on field codes in Python ints, without ctx's kernel
+    or tables: residues mod p, or base-p digit lists folded by the
+    modulus."""
+    p, nu = ctx.p, ctx.nu
+    if nu == 1:
+        return (lambda a, b: a * b % p, lambda a, b: (a - b) % p,
+                lambda a: pow(a, p - 2, p))
+
+    def digits(a):
+        return [a // p ** i % p for i in range(nu)]
+
+    def code(d):
+        return sum(x % p * p ** i for i, x in enumerate(d))
+
+    def mul(a, b):
+        c = [0] * (2 * nu - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                c[i + j] += x * y
+        for d in range(2 * nu - 2, nu - 1, -1):
+            for i in range(nu):
+                c[d - nu + i] -= c[d] * ctx.modulus[i]
+        return code(c[:nu])
+
+    def inv(a):
+        out, e = 1, ctx.q - 2
+        while e:
+            if e & 1:
+                out = mul(out, a)
+            a, e = mul(a, a), e >> 1
+        return out
+
+    return (mul, lambda a, b: code(x - y for x, y in zip(digits(a),
+                                                           digits(b))), inv)
+
+
+def oracle_lu(ctx, A):
+    """Packed Doolittle LU of a GRP matrix A in Python ints: row i of U,
+    then column i of L, each from dot products with the rows and columns
+    before i."""
+    mul, sub, inv = oracle_ops(ctx)
+    a = [[int(x) for x in row] for row in A]
+    n = len(a)
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(i):
+                a[i][j] = sub(a[i][j], mul(a[i][k], a[k][j]))
+        d = inv(a[i][i])
+        for j in range(i + 1, n):
+            for k in range(i):
+                a[j][i] = sub(a[j][i], mul(a[j][k], a[k][i]))
+            a[j][i] = mul(a[j][i], d)
+    return np.array(a, dtype=np.int64).reshape(n, n)
+
+
+@pytest.mark.parametrize("ctx", LEAF_FIELDS, ids=repr)
+def test_reference_and_leaf_match_int_oracle(ctx):
+    rng = np.random.default_rng(ctx.q % 1013)
+    for n in (1, 15, 16, 17, 33):
+        A, _, _ = make_grp_instance(ctx, n, rng)
+        want = oracle_lu(ctx, A.a)
+        assert np.array_equal(crout_reference(A).mat.a, want)
+        if n > croutec._BLOCK_CHECK:
+            continue
+        # the leaf alone at offsets n1 > 0 of a larger buffer: it writes
+        # only its block
+        for n1 in (1, 16):
+            M = ctx.rand(rng, (n1 + n + 3, n1 + n + 3))
+            before = M.copy()
+            s = slice(n1, n1 + n)
+            croutec._factor_leaf(ctx, M[s, s], A.a.copy(), n1)
+            assert np.array_equal(M[s, s], want)
+            M[s, s] = before[s, s]
+            assert np.array_equal(M, before)
+
+
+@pytest.mark.parametrize("ctx", LEAF_FIELDS, ids=repr)
+def test_leaf_zero_pivot_leaves_earlier_factors_final(ctx):
+    # B = L0 . U0 with U0[i, i] = 0 has nonzero leading minors below i + 1,
+    # so its first i columns of L and rows of U are L0's and U0's; the
+    # trailing block from i on keeps what it held
+    rng = np.random.default_rng(ctx.q % 1019)
+    ns, n1 = croutec._BLOCK_CHECK, 5
+    _, L0, U0 = make_grp_instance(ctx, ns, rng)
+    for i in range(ns):
+        U = U0.a.copy()
+        U[i, i] = 0
+        B = ctx.matmul(L0.a, U)
+        M = ctx.rand(rng, (n1 + ns, n1 + ns))
+        Ms, before = M[n1:, n1:], M.copy()
+        with pytest.raises(GrpViolation) as err:
+            croutec._factor_leaf(ctx, Ms, B, n1)
+        assert err.value.index == n1 + i
+        for j in range(i):
+            assert np.array_equal(Ms[j + 1:, j], L0.a[j + 1:, j])
+            assert np.array_equal(Ms[j, j:], U0.a[j, j:])
+        assert np.array_equal(Ms[i:, i:], before[n1 + i:, n1 + i:])
+        M[n1:, n1:] = before[n1:, n1:]
+        assert np.array_equal(M, before)
+
+
 def test_croutec_clean_input_unchanged():
     rng = np.random.default_rng(1)
     A, _, _ = make_grp_instance(FBIG, 48, rng)
@@ -212,6 +321,25 @@ def test_rankdef_random_suite(r):
         assert rd == r
         assert np.array_equal(multiply(L, U).a, A.a)
         assert _reported_once(rep) == wrong and rep.corrected == len(wrong)
+
+
+def test_rankdef_overclaimed_rank_reports_only_factor_entries():
+    # a candidate of rank r + 3 holds garbage past r; the zero pivot at r
+    # ends elimination inside a diagonal block, and what that block held
+    # past r is no entry of the r-shaped factors, so none is reported
+    rng = np.random.default_rng(26)
+    m, n, r = 32, 48, 10
+    A, L0, U0 = make_grp_instance(FBIG, (m, n), rng, rank=r)
+    Lc = np.zeros((m, r + 3), dtype=np.int64)
+    Uc = np.zeros((r + 3, n), dtype=np.int64)
+    Lc[:, :r], Uc[:r] = L0.a, U0.a
+    Lc[r + 1:, r:] = np.tril(FBIG.rand_nonzero(rng, (m - r - 1, 3)))
+    Uc[r:, r:] = np.triu(FBIG.rand_nonzero(rng, (3, n - r)))
+    rd, L, U, rep = rank_deficient_ec(A, Mat(FBIG, Lc), Mat(FBIG, Uc),
+                                     TrsmEcParams(0.05, seed=27))
+    assert rd == r
+    assert np.array_equal(multiply(L, U).a, A.a)
+    assert all(i < r or j < r for i, j in _reported_once(rep))
 
 
 def shift_out_of_range(ctx, a, rng, k=4):
@@ -431,6 +559,62 @@ def test_croutec_inverts_each_diagonal_block_once(monkeypatch):
     assert np.array_equal(P.mat.a, PackedLU.pack(L0, U0).mat.a)
     assert built and len(built) == len(set(built))
     assert len(looked_up) > len(built)  # some block served from the store
+
+
+def test_croutec_recomputes_wrong_blocks_without_solves(monkeypatch):
+    # the shape of lu-correct-gf7: most 16-row diagonal blocks are wrong,
+    # and each is refactored from its check's own Schur complement
+    rng = np.random.default_rng(23)
+    n = 128
+    A, L0, U0 = make_grp_instance(F7, n, rng)
+    truth = PackedLU.pack(L0, U0).mat.a
+    P = PackedLU.pack(L0.copy(), U0.copy())
+    corrupt_packed(F7, P, n * n // 10, rng)
+    inside, solves = [], []
+    dense_block = croutec._dense_block
+
+    def spy_block(*args):
+        inside.append(True)
+        try:
+            return dense_block(*args)
+        finally:
+            inside.pop()
+
+    def spy_solve(name):
+        solve = getattr(mat.Tri, name)
+
+        def spy(self, B):
+            if inside:
+                solves.append(name)
+            return solve(self, B)
+        return spy
+
+    monkeypatch.setattr(croutec, "_dense_block", spy_block)
+    for name in ("solve_right", "solve_left"):
+        monkeypatch.setattr(mat.Tri, name, spy_solve(name))
+    _, rep = crout_ec(P, A, TrsmEcParams(0.05, seed=24))
+    assert np.array_equal(P.mat.a, truth)
+    assert any(leaf.stage == "dense_block" and leaf.correcting_rounds
+               for leaf in rep.iter_leaves())
+    assert solves == []
+
+
+def test_reference_inverts_at_most_two_blocks_per_leaf(monkeypatch):
+    # the leaves invert nothing; the levels solve against the base blocks
+    # of two root triangles, each inverted once
+    n = 1024
+    A, L0, U0 = make_grp_instance(FBIG, n, np.random.default_rng(25))
+    built = []
+    inverse = mat._inverse
+
+    def counting_inverse(*args):
+        built.append(args[1].shape[0])
+        return inverse(*args)
+
+    monkeypatch.setattr(mat, "_inverse", counting_inverse)
+    P = crout_reference(A)
+    assert np.array_equal(P.mat.a, PackedLU.pack(L0, U0).mat.a)
+    assert 0 < len(built) <= 2 * n // croutec._BLOCK_CHECK
 
 
 def test_croutec_non_grp_input_names_the_zero_pivot():

@@ -207,6 +207,11 @@ def test_op_counter_moves():
     A = ctx.rand(rng, (10, 10))
     ctx.matmul(A, A)
     assert ff.op_count() > before
+    # an elementwise product counts the entries of its broadcast result
+    for ctx in (ctx, make_ext_field(7, 2), make_prime_field(2 ** 61 - 1)):
+        before = ff.op_count()
+        ctx.mul(np.ones((10, 1), dtype=np.int64), np.ones(7, dtype=np.int64))
+        assert ff.op_count() - before == 70
 
 
 def test_op_counting_off_until_reset(monkeypatch):

@@ -152,6 +152,26 @@ def test_apply_vandermonde_matches_direct():
     assert np.array_equal(out, F13.matmul(V, M))
 
 
+def test_apply_vandermonde_gathers_only_a_partly_live_operand(monkeypatch):
+    # with every row live the kernel reads M itself, with no gathered copy
+    rng = np.random.default_rng(4)
+    tab = element_of_order_at_least(F13, 10)
+    M = F13.rand_nonzero(rng, (10, 4))
+    operands = []
+    matmul = F13.matmul
+
+    def spy(V, B):
+        operands.append(B)
+        return matmul(V, B)
+
+    monkeypatch.setattr(F13, "matmul", spy)
+    apply_vandermonde(F13, tab, 6, M)
+    M[3] = 0
+    apply_vandermonde(F13, tab, 6, M)
+    assert operands[0] is M
+    assert operands[1].shape == (9, 4) and not np.shares_memory(operands[1], M)
+
+
 # fields of the Vandermonde property tests: primes from GF(7) to the int64
 # edge (2^31 - 1 leaves room for 2 products per sum), one that takes the
 # object-dtype path, and an extension field

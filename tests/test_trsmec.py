@@ -169,6 +169,33 @@ def test_extension_field_path_gf2():
     assert set(np.unique(R.a)) <= {0, 1}
 
 
+def test_extension_field_recovery_round_gf2(monkeypatch):
+    # m = 256 rows over GF(2) need GF(2^9); six errors in three columns are
+    # sparse enough that recovery rounds run in the extension before the
+    # loop ends on a clean projection, with no dense solve
+    rng = np.random.default_rng(21)
+    F2 = make_prime_field(2)
+    m, n = 256, 64
+    R, H, U = make_right_instance(F2, m, n, 8, rng)
+    truth = R.a.copy()
+    for j in rng.choice(n, 3, replace=False):
+        R.a[rng.choice(m, 2, replace=False), j] ^= 1
+    extended = []
+    extend_field = ff.extend_field
+
+    def spy(base, size):
+        extended.append((base, size))
+        return extend_field(base, size)
+
+    monkeypatch.setattr(ff, "extend_field", spy)
+    rep = trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=22))
+    assert extended == [(F2, m)]
+    assert rep.correcting_rounds >= 1 and not rep.dense_verified
+    assert rep.extended and rep.ext_degree == 9
+    assert np.array_equal(R.a, truth)
+    assert set(np.unique(R.a)) <= {0, 1}
+
+
 def test_empty_dimensions():
     rng = np.random.default_rng(9)
     U = rand_tri(F7, 4, "upper", rng)
