@@ -14,7 +14,7 @@ from .ff import (FieldError, extend_field, make_ext_field, make_prime_field,
                  element_of_order_at_least)
 from .mat import (DimensionError, Mat, PackedLU, SingularMatrixError, Tri,
                   multiply, trsm)
-from .report import CorrectionReport, parse_report
+from .report import CorrectionReport
 from .sparseint import SparseColumn, batch_interpolate, interpolate_column
 from .syssolve import (LargeRhsBundle, SmallRhsBundle, solve_large_rhs,
                        solve_small_rhs, tr_inv_ec)
@@ -31,7 +31,7 @@ __all__ = [
     "TrsmEcParams", "batch_interpolate", "crout_ec", "crout_reference",
     "element_of_order_at_least", "extend_field", "interpolate_column",
     "make_ext_field", "make_grp_instance", "make_prime_field", "multiply",
-    "parse_report", "rank_deficient_ec", "rect_ec", "solve_large_rhs",
-    "solve_small_rhs", "tr_inv_ec", "trsm", "trsm_ec_lower_left",
-    "trsm_ec_lower_right", "trsm_ec_upper_left", "trsm_ec_upper_right",
+    "rank_deficient_ec", "rect_ec", "solve_large_rhs", "solve_small_rhs",
+    "tr_inv_ec", "trsm", "trsm_ec_lower_left", "trsm_ec_lower_right",
+    "trsm_ec_upper_left", "trsm_ec_upper_right",
 ]

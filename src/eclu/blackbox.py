@@ -85,7 +85,7 @@ class BlackboxRHS:
         return BlackboxRHS(C=C, A=self.A, B=B, sign=self.sign, ctx=self.ctx)
 
     def dense(self):
-        """Materialize H (test/verification use only)."""
+        """Materialize H, as a dense solve against it needs."""
         ctx = self.ctx
         acc = np.zeros((self.rows, self.cols), dtype=np.int64)
         if self.C is not None:

@@ -13,6 +13,7 @@ loop gave up, 3 when the deterministic post-check failed.
 import argparse
 import sys
 
+from .ff import make_ext_field
 from .harness import WORKLOADS, Scenario, bench_lu, correct, gen, verify
 from .trsmec import MonteCarloFailure
 
@@ -106,9 +107,7 @@ def main(argv=None):
         return 0 if ok else 3
 
     if args.cmd == "bench":
-        p, nu = _field(args.field)
-        from . import ff
-        ctx = ff.make_prime_field(p) if nu == 1 else ff.make_ext_field(p, nu)
+        ctx = make_ext_field(*_field(args.field))
         ks = [int(k) for k in args.errors.split(",") if k]
         rows = bench_lu(ctx, args.n, ks, eps=args.epsilon, reps=args.reps,
                         seed=args.seed)

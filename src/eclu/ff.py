@@ -109,9 +109,6 @@ class FieldCtx:
             _bump(_sz(out))
         return out
 
-    def zeros(self, shape):
-        return np.zeros(shape, dtype=np.int64)
-
     def canonical(self, a, in_place=False):
         """The int64 array a with every code in [0, q).
 

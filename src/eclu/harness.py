@@ -5,10 +5,11 @@ All randomness flows from a single seed per scenario, so generated and
 corrupted instances are bit-reproducible.
 """
 
+import json
 import os
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,8 +23,34 @@ from .syssolve import (LargeRhsBundle, SmallRhsBundle, solve_large_rhs,
                        solve_small_rhs, tr_inv_ec)
 from .trsmec import TrsmEcParams, trsm_ec_upper_right
 
-WORKLOADS = ("lu", "rect", "rankdef", "solve-small", "solve-large",
-             "trinv", "trsm")
+
+# The identity of each workload family, over the matrices it names.
+def _lu_identity(A, L, U):
+    return multiply(L, U) == A
+
+
+def _solve_identity(A, B, X):
+    return multiply(X, A) == B
+
+
+def _inverse_identity(U, R):
+    return multiply(R, U) == Mat.identity(U.ctx, U.rows)
+
+
+def _trsm_identity(U, C, R):
+    return multiply(R, U) == C
+
+
+_IDENTITIES = {
+    "lu": (_lu_identity, ("A", "L", "U")),
+    "rect": (_lu_identity, ("A", "L", "U")),
+    "rankdef": (_lu_identity, ("A", "L", "U")),
+    "solve-small": (_solve_identity, ("A", "B", "X")),
+    "solve-large": (_solve_identity, ("A", "B", "X")),
+    "trinv": (_inverse_identity, ("U", "R")),
+    "trsm": (_trsm_identity, ("U", "C", "R")),
+}
+WORKLOADS = tuple(_IDENTITIES)
 
 
 @dataclass
@@ -38,33 +65,18 @@ class Scenario:
     seed: int = 0
     workload: str = "lu"
 
-    def field(self):
-        if self.nu == 1:
-            return ff.make_prime_field(self.p)
-        return ff.make_ext_field(self.p, self.nu)
+    def __post_init__(self):
+        if self.workload not in _IDENTITIES:
+            raise ValueError("unknown workload %r" % self.workload)
 
-    def to_lines(self):
-        vals = [("p", self.p), ("nu", self.nu), ("n", self.n),
-                ("m", self.m), ("rank", self.rank), ("errors", self.errors),
-                ("eps", self.eps), ("seed", self.seed),
-                ("workload", self.workload)]
-        return ["%s=%s" % (k, v) for k, v in vals if v is not None]
+    def field(self):
+        return ff.make_ext_field(self.p, self.nu)
 
     @classmethod
     def from_file(cls, path):
-        kw = {}
+        """The scenario gen wrote as JSON; an unknown key raises TypeError."""
         with open(path) as fh:
-            for line in fh:
-                if "=" not in line:
-                    continue
-                k, v = line.strip().split("=", 1)
-                if k == "workload":
-                    kw[k] = v
-                elif k == "eps":
-                    kw[k] = float(v)
-                else:
-                    kw[k] = int(v)
-        return cls(**kw)
+            return cls(**json.load(fh))
 
 
 def inject_errors(rng, ctx, mats_regions, k):
@@ -105,55 +117,39 @@ def _full(m, n):
     return idx[0].ravel(), idx[1].ravel()
 
 
+def _random_upper(ctx, n, rng):
+    U = Mat(ctx, np.triu(ctx.rand(rng, (n, n))))
+    U.a[np.arange(n), np.arange(n)] = ctx.rand_nonzero(rng, (n,))
+    return U
+
+
 def gen(scenario, outdir):
-    """Write ground-truth and corrupted inputs for a scenario."""
+    """Write ground-truth and corrupted inputs for a scenario, and the
+    scenario itself as scenario.json."""
     os.makedirs(outdir, exist_ok=True)
     ctx = scenario.field()
     rng = np.random.default_rng(scenario.seed)
     n = scenario.n
     m = scenario.m if scenario.m is not None else n
     w = scenario.workload
-    files = {}
 
-    def put(name, M, sparse=None):
-        path = os.path.join(outdir, name + ".mat")
-        write_matrix(path, M, sparse=sparse)
-        files[name] = path
-
-    if w == "lu":
-        A, L, U = make_grp_instance(ctx, n, rng)
-        La, Ua = L.copy(), U.copy()
-        inject_errors(rng, ctx, [(La.a, _strict_lower(n, n)),
-                                 (Ua.a, _upper_incl(n, n))], scenario.errors)
-        put("A", A)
-        put("L_true", L)
-        put("U_true", U)
-        put("L_approx", La)
-        put("U_approx", Ua)
-    elif w == "rect":
-        if m >= n:
+    if w in ("lu", "rect", "rankdef"):
+        if w == "rect" and m >= n:
             raise ValueError("rect workload needs m < n")
-        A, L, U = make_grp_instance(ctx, (m, n), rng)
+        shape = (n, n) if w == "lu" else (m, n)
+        rank = None
+        if w == "rankdef":
+            rank = scenario.rank if scenario.rank is not None \
+                else max(1, min(m, n) // 2)
+        A, L, U = make_grp_instance(ctx, shape, rng, rank=rank)
         La, Ua = L.copy(), U.copy()
-        inject_errors(rng, ctx, [(La.a, _strict_lower(m, m)),
-                                 (Ua.a, _upper_incl(m, n))], scenario.errors)
-        put("A", A)
-        put("L_true", L)
-        put("U_true", U)
-        put("L_approx", La)
-        put("U_approx", Ua)
-    elif w == "rankdef":
-        r = scenario.rank if scenario.rank is not None else max(1, min(m, n) // 2)
-        A, L, U = make_grp_instance(ctx, (m, n), rng, rank=r)
-        La, Ua = L.copy(), U.copy()
-        lr = _strict_lower(m, r)
-        ur = np.triu_indices(r, 0, n)
-        inject_errors(rng, ctx, [(La.a, lr), (Ua.a, ur)], scenario.errors)
-        put("A", A)
-        put("L_true", L)
-        put("U_true", U)
-        put("L_approx", La)
-        put("U_approx", Ua)
+        # L is m-by-rank, U rank-by-n; errors land anywhere in either triangle
+        inject_errors(rng, ctx,
+                      [(La.a, _strict_lower(L.rows, L.cols)),
+                       (Ua.a, _upper_incl(U.rows, U.cols))],
+                      scenario.errors)
+        mats = {"A": A, "L_true": L, "U_true": U,
+                "L_approx": La, "U_approx": Ua}
     elif w in ("solve-small", "solve-large"):
         A, L, U = make_grp_instance(ctx, n, rng)
         B = Mat.random(ctx, m, n, rng)
@@ -164,85 +160,64 @@ def gen(scenario, outdir):
         La, Ua, Xa = L.copy(), U.copy(), X.copy()
         regions = [(La.a, _strict_lower(n, n)), (Ua.a, _upper_incl(n, n)),
                    (Xa.a, _full(m, n))]
-        extra = {}
+        mats = {"A": A, "B": B, "L_true": L, "U_true": U, "X_true": X,
+                "L_approx": La, "U_approx": Ua, "X_approx": Xa}
         if w == "solve-small":
             Ya = Y.copy()
             regions.append((Ya.a, _full(m, n)))
-            extra["Y_true"], extra["Y_approx"] = Y, Ya
+            mats["Y_true"], mats["Y_approx"] = Y, Ya
         else:
             R = Mat.identity(ctx, n)
             Tri(U, "upper").solve_right(R)  # R = U^{-1}
             Ra = R.copy()
             regions.append((Ra.a, _full(n, n)))
-            extra["R_true"], extra["R_approx"] = R, Ra
+            mats["R_true"], mats["R_approx"] = R, Ra
         inject_errors(rng, ctx, regions, scenario.errors)
-        put("A", A)
-        put("B", B)
-        put("L_true", L)
-        put("U_true", U)
-        put("X_true", X)
-        put("L_approx", La)
-        put("U_approx", Ua)
-        put("X_approx", Xa)
-        for name, M in extra.items():
-            put(name, M)
     elif w == "trinv":
-        U = Mat(ctx, np.triu(ctx.rand(rng, (n, n))))
-        U.a[np.arange(n), np.arange(n)] = ctx.rand_nonzero(rng, (n,))
+        U = _random_upper(ctx, n, rng)
         R = Mat.identity(ctx, n)
         Tri(U, "upper").solve_left(R)  # R = U^{-1}
         Ra = R.copy()
         inject_errors(rng, ctx, [(Ra.a, _upper_incl(n, n))], scenario.errors)
-        put("U", U)
-        put("R_true", R)
-        put("R_approx", Ra)
-    elif w == "trsm":
-        U = Mat(ctx, np.triu(ctx.rand(rng, (n, n))))
-        U.a[np.arange(n), np.arange(n)] = ctx.rand_nonzero(rng, (n,))
+        mats = {"U": U, "R_true": R, "R_approx": Ra}
+    else:  # trsm
+        U = _random_upper(ctx, n, rng)
         R = Mat.random(ctx, m, n, rng)
-        C = multiply(R, U)
         Ra = R.copy()
         inject_errors(rng, ctx, [(Ra.a, _full(m, n))], scenario.errors)
-        put("U", U)
-        put("C", C)
-        put("R_true", R)
-        put("R_approx", Ra)
-    else:
-        raise ValueError("unknown workload %r" % w)
+        mats = {"U": U, "C": multiply(R, U), "R_true": R, "R_approx": Ra}
 
-    with open(os.path.join(outdir, "scenario.txt"), "w") as fh:
-        fh.write("\n".join(scenario.to_lines()) + "\n")
+    files = {}
+    for name, M in mats.items():
+        files[name] = os.path.join(outdir, name + ".mat")
+        write_matrix(files[name], M)
+    with open(os.path.join(outdir, "scenario.json"), "w") as fh:
+        json.dump(asdict(scenario), fh)
     return files
 
 
 def correct(workdir, eps=None, seed=None, verify_after=True):
     """Run the correction for a generated scenario directory.
 
-    Writes ``*_corrected.mat`` files plus ``report.txt``; returns
+    Writes ``*_corrected.mat`` files plus ``report.json``; returns
     (report, verified) where verified is the deterministic post-check
     (None when verify_after is off).
     """
-    sc = Scenario.from_file(os.path.join(workdir, "scenario.txt"))
+    sc = Scenario.from_file(os.path.join(workdir, "scenario.json"))
     eps = sc.eps if eps is None else eps
     seed = sc.seed + 1 if seed is None else seed
     params = TrsmEcParams(eps, seed=seed, rng=np.random.default_rng(seed))
+    mats = {}  # every matrix read, then the corrected ones by plain name
 
     def rd(name):
-        return read_matrix(os.path.join(workdir, name + ".mat"))
-
-    def wr(name, M):
-        write_matrix(os.path.join(workdir, name + "_corrected.mat"), M)
+        mats[name] = read_matrix(os.path.join(workdir, name + ".mat"))
+        return mats[name]
 
     w = sc.workload
-    t0 = time.perf_counter()
     if w == "lu":
-        A = rd("A")
         packed = PackedLU.pack(rd("L_approx"), rd("U_approx"))
-        _, rep = crout_ec(packed, A, params)
-        wr("L", packed.extract_L())
-        wr("U", packed.extract_U())
-        verified = _verify_lu(A, packed.extract_L(), packed.extract_U()) \
-            if verify_after else None
+        _, rep = crout_ec(packed, rd("A"), params)
+        out = {"L": packed.extract_L(), "U": packed.extract_U()}
     elif w == "rect":
         A = rd("A")
         La, Ua = rd("L_approx"), rd("U_approx")
@@ -250,84 +225,62 @@ def correct(workdir, eps=None, seed=None, verify_after=True):
         packed = PackedLU.pack(La, Ua.view(0, 0, mm, mm))
         U2 = Ua.view(0, mm, mm, A.cols - mm).copy()
         _, _, rep = rect_ec(A, packed, U2, params)
-        L = packed.extract_L()
-        U = Mat(A.ctx, np.hstack([packed.extract_U().a, U2.a]))
-        wr("L", L)
-        wr("U", U)
-        verified = _verify_lu(A, L, U) if verify_after else None
+        out = {"L": packed.extract_L(),
+               "U": Mat(A.ctx, np.hstack([packed.extract_U().a, U2.a]))}
     elif w == "rankdef":
-        A = rd("A")
-        r, L, U, rep = rank_deficient_ec(A, rd("L_approx"), rd("U_approx"),
-                                         params)
-        wr("L", L)
-        wr("U", U)
-        verified = _verify_lu(A, L, U) if verify_after else None
+        _, L, U, rep = rank_deficient_ec(rd("A"), rd("L_approx"),
+                                         rd("U_approx"), params)
+        out = {"L": L, "U": U}
     elif w == "solve-small":
-        A, B = rd("A"), rd("B")
-        bundle = SmallRhsBundle(A, B,
+        bundle = SmallRhsBundle(rd("A"), rd("B"),
                                 PackedLU.pack(rd("L_approx"), rd("U_approx")),
                                 rd("Y_approx"), rd("X_approx"), eps)
         X, rep = solve_small_rhs(bundle, params)
-        wr("X", X)
-        verified = multiply(X, A) == B if verify_after else None
+        out = {"X": X}
     elif w == "solve-large":
-        A, B = rd("A"), rd("B")
-        bundle = LargeRhsBundle(A, B,
+        bundle = LargeRhsBundle(rd("A"), rd("B"),
                                 PackedLU.pack(rd("L_approx"), rd("U_approx")),
                                 rd("R_approx"), rd("X_approx"), eps)
         X, rep = solve_large_rhs(bundle, params)
-        wr("X", X)
-        verified = multiply(X, A) == B if verify_after else None
+        out = {"X": X}
     elif w == "trinv":
-        U, R = rd("U"), rd("R_approx")
-        rep = tr_inv_ec(R, Tri(U, "upper"), params)
-        wr("R", R)
-        verified = multiply(R, U) == Mat.identity(U.ctx, U.rows) \
-            if verify_after else None
-    elif w == "trsm":
-        U, C, R = rd("U"), rd("C"), rd("R_approx")
-        rep = trsm_ec_upper_right(R, BlackboxRHS(C=C), Tri(U, "upper"),
-                                  params)
-        wr("R", R)
-        verified = multiply(R, U) == C if verify_after else None
-    else:
-        raise ValueError("unknown workload %r" % w)
+        R = rd("R_approx")
+        rep = tr_inv_ec(R, Tri(rd("U"), "upper"), params)
+        out = {"R": R}
+    else:  # trsm
+        R = rd("R_approx")
+        rep = trsm_ec_upper_right(R, BlackboxRHS(C=rd("C")),
+                                  Tri(rd("U"), "upper"), params)
+        out = {"R": R}
 
-    rep.wall_time = time.perf_counter() - t0
-    rep.seed = seed
-    rep.dense_verified = verified
-    with open(os.path.join(workdir, "report.txt"), "w") as fh:
-        fh.write(rep.serialize())
-    return rep, verified
+    for name, M in out.items():
+        write_matrix(os.path.join(workdir, name + "_corrected.mat"), M)
+    with open(os.path.join(workdir, "report.json"), "w") as fh:
+        fh.write(rep.to_json())
+    if not verify_after:
+        return rep, None
+    mats.update(out)
+    identity, names = _IDENTITIES[w]
+    return rep, identity(*(mats[name] for name in names))
 
 
-def _verify_lu(A, L, U):
-    return multiply(L, U) == A
+def verify(workdir):
+    """Deterministic exact check of the workload identity. Pure, no RNG.
 
+    Each matrix the identity names is read from its corrected file when
+    there is one, else from its candidate, else from the input.
+    """
+    sc = Scenario.from_file(os.path.join(workdir, "scenario.json"))
 
-def verify(workdir, use_corrected=True):
-    """Deterministic exact check of the workload identity. Pure, no RNG."""
-    sc = Scenario.from_file(os.path.join(workdir, "scenario.txt"))
+    def rd(name):
+        for suffix in ("_corrected", "_approx"):
+            path = os.path.join(workdir, name + suffix + ".mat")
+            if os.path.exists(path):
+                return read_matrix(path)
+        return read_matrix(os.path.join(workdir, name + ".mat"))
 
-    def rd(name, fallback=None):
-        corrected = os.path.join(workdir, name + "_corrected.mat")
-        if use_corrected and os.path.exists(corrected):
-            return read_matrix(corrected)
-        return read_matrix(os.path.join(workdir, (fallback or name) + ".mat"))
-
-    w = sc.workload
-    if w in ("lu", "rect", "rankdef"):
-        A = rd("A")
-        return _verify_lu(A, rd("L", "L_approx"), rd("U", "U_approx"))
-    if w in ("solve-small", "solve-large"):
-        A, B = rd("A"), rd("B")
-        return multiply(rd("X", "X_approx"), A) == B
-    if w == "trinv":
-        U = rd("U")
-        return multiply(rd("R", "R_approx"), U) == Mat.identity(U.ctx, U.rows)
-    if w == "trsm":
-        return multiply(rd("R", "R_approx"), rd("U")) == rd("C")
-    raise ValueError("unknown workload %r" % w)
+    identity, names = _IDENTITIES[sc.workload]
+    return identity(*(rd(name) for name in names))
 
 
 def bench_lu(ctx, n, ks, eps=0.05, reps=5, seed=0):

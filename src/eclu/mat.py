@@ -85,15 +85,6 @@ class Mat:
     def __repr__(self):
         return "Mat(%r, %r)" % (self.ctx, self.a.tolist())
 
-    def multiply(self, other):
-        return multiply(self, other)
-
-    def add(self, other):
-        return Mat(self.ctx, self.ctx.add(self.a, other.a))
-
-    def sub(self, other):
-        return Mat(self.ctx, self.ctx.sub(self.a, other.a))
-
 
 def multiply(A, B):
     """Exact product A.B over the operands' field."""

@@ -9,7 +9,7 @@ coefficient digits ``c0,c1,...``.
 
 import numpy as np
 
-from .ff import make_ext_field, make_prime_field
+from .ff import make_ext_field
 from .mat import Mat
 
 
@@ -58,7 +58,7 @@ def read_matrix(path):
     if head[0] != "field" or len(head) != 3:
         raise ValueError("%s: missing field header" % path)
     p, nu = int(head[1]), int(head[2])
-    ctx = make_prime_field(p) if nu == 1 else make_ext_field(p, nu)
+    ctx = make_ext_field(p, nu)
     shape = lines[1].split()
     if shape[0] == "dense":
         m, n = int(shape[1]), int(shape[2])

@@ -1,10 +1,10 @@
 """Correction reports: what was fixed, how long it took, how random it was.
 
-Serialized by the harness as line-oriented ``key=value`` text; nested stage
-reports get dotted key prefixes.
+A report tree is written as JSON by to_json and read back by from_json.
 """
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -19,9 +19,9 @@ class CorrectionReport:
     extended: bool = False         # recovery field is an extension (m >= q),
     ext_degree: int = 1            # of this degree; built only to recover
     seed: object = None
-    wall_time: float = 0.0
+    wall_time: float = 0.0         # the whole call, children included
     verified: bool = False         # final Freivalds pass (probabilistic)
-    dense_verified: object = None  # optional deterministic check result
+    dense_verified: bool = False   # settled by a dense check or solve
     children: list = field(default_factory=list)
 
     def add_child(self, child):
@@ -32,7 +32,6 @@ class CorrectionReport:
         self.lam = max(self.lam, child.lam)
         self.extended = self.extended or child.extended
         self.ext_degree = max(self.ext_degree, child.ext_degree)
-        self.wall_time += child.wall_time
 
     def shift(self, dr, dc):
         """Offset this report's own positions by (dr, dc); returns self."""
@@ -61,66 +60,18 @@ class CorrectionReport:
         for c in self.children:
             yield from c.iter_leaves()
 
-    def to_lines(self, prefix=""):
-        pre = prefix + "." if prefix else ""
-        out = []
-        if self.stage:
-            out.append("%sstage=%s" % (pre, self.stage))
-        out.append("%scorrected=%d" % (pre, self.corrected))
-        out.append("%srounds=%d" % (pre, self.rounds))
-        out.append("%scorrecting_rounds=%d" % (pre, self.correcting_rounds))
-        out.append("%slambda=%d" % (pre, self.lam))
-        out.append("%sepsilon=%r" % (pre, self.epsilon))
-        out.append("%sextended=%d" % (pre, int(self.extended)))
-        out.append("%sext_degree=%d" % (pre, self.ext_degree))
-        if self.seed is not None:
-            out.append("%sseed=%s" % (pre, self.seed))
-        out.append("%swall_time=%.6f" % (pre, self.wall_time))
-        out.append("%sverified=%d" % (pre, int(self.verified)))
-        if self.dense_verified is not None:
-            out.append("%sdense_verified=%d" % (pre, int(self.dense_verified)))
-        if self.positions:
-            out.append("%spositions=%s" % (
-                pre, ";".join("%d,%d" % (r, c) for r, c in self.positions)))
-        for i, c in enumerate(self.children):
-            out.extend(c.to_lines(prefix="%sstage%d" % (pre, i)))
-        return out
+    def to_json(self):
+        return json.dumps(asdict(self))
 
-    def serialize(self):
-        return "\n".join(self.to_lines()) + "\n"
+    @classmethod
+    def from_json(cls, text):
+        """The report tree that to_json wrote; an unknown key raises
+        TypeError."""
+        return cls._from_dict(json.loads(text))
 
-
-def parse_report(text):
-    """Parse serialized key=value lines back into a CorrectionReport tree."""
-    root = CorrectionReport()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or "=" not in line:
-            continue
-        key, val = line.split("=", 1)
-        node = root
-        parts = key.split(".")
-        for part in parts[:-1]:
-            idx = int(part[len("stage"):])
-            while len(node.children) <= idx:
-                node.children.append(CorrectionReport())
-            node = node.children[idx]
-        leaf = parts[-1]
-        if leaf == "stage":
-            node.stage = val
-        elif leaf in ("corrected", "rounds", "correcting_rounds", "ext_degree"):
-            setattr(node, leaf, int(val))
-        elif leaf == "lambda":
-            node.lam = int(val)
-        elif leaf == "epsilon":
-            node.epsilon = float(val)
-        elif leaf in ("extended", "verified", "dense_verified"):
-            setattr(node, leaf, bool(int(val)))
-        elif leaf == "seed":
-            node.seed = int(val)
-        elif leaf == "wall_time":
-            node.wall_time = float(val)
-        elif leaf == "positions":
-            node.positions = [tuple(map(int, pair.split(",")))
-                              for pair in val.split(";") if pair]
-    return root
+    @classmethod
+    def _from_dict(cls, d):
+        rep = cls(**d)
+        rep.positions = [tuple(p) for p in rep.positions]
+        rep.children = [cls._from_dict(c) for c in rep.children]
+        return rep

@@ -31,7 +31,7 @@ class SparseColumn:
     values: list
 
 
-FAILED = None  # failure marker used in RecoveryOutcome slots
+FAILED = None  # a column with no consistent sparse candidate
 
 
 def berlekamp_massey(ctx, seq):

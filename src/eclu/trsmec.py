@@ -3,12 +3,13 @@
 The core loop guesses the number of errors k, locates erroneous columns of
 the candidate solution with a random left projection (a Freivalds-style
 check), recovers up to s = ceil(2(k - k')/c) errors per located column by
-sparse interpolation, and commits a recovered column only once the next
-round's projection confirms it.  If fewer than half of the located columns
-clear in a round, the guess k doubles.  The loop ends when a projection
-finds no erroneous column at all, which bounds the failure probability of
-the final state by the requested epsilon, or with one deterministic dense
-solve when `dense_cheaper` finds that cheaper than the round's recovery.
+sparse interpolation, and writes the recovered values into the candidate at
+once.  The next round's projection confirms each such column or rolls it
+back.  If fewer than half of the located columns clear in a round, the
+guess k doubles.  The loop ends when a projection finds no erroneous column
+at all, which bounds the failure probability of the final state by the
+requested epsilon, or with one deterministic dense solve when
+`dense_cheaper` finds that cheaper than the round's recovery.
 
 All but the recovery runs in R's own field: projections of lam =
 freivalds_lambda(q, n, eps) rows, residual solves, commits and dense solve.
@@ -204,40 +205,42 @@ def _correction_loop(R, H, T, params, stage):
     k_guess = 1
     k_done = 0
     c_prev = 2 * n
-    pending = {}  # col -> (row index array, value array), the matrix E
+    undo = {}  # col -> (rows, previous values) of unconfirmed corrections
 
     while True:
         rep.rounds += 1
         if rep.rounds > cap:
+            for j, (ri, old) in undo.items():
+                R.a[ri, j] = old  # R keeps only confirmed corrections
             raise MonteCarloFailure(
                 "correction did not converge within %d rounds "
                 "(failure bound %g)" % (cap, params.eps))
         W = base.rand(rng, (lam, m))
-        # D = W H - W (R+E) T; zero iff no erroneous column remains (T is
+        # D = W H - W R T; zero iff no erroneous column remains (T is
         # invertible), found without the triangular solve
-        D = _projected_gap(base, W, H, R.a, pending, T)
+        D = _projected_gap(base, W, H, R.a, T)
         if not D.any():
             bad = np.empty(0, dtype=np.intp)
         else:
-            T.solve_right(D)  # (W H T^-1 - W R - W E), same column count
+            T.solve_right(D)  # (W H T^-1 - W R), same column count
             bad = np.nonzero(D.any(axis=0))[0]
         c = len(bad)
-        # commit pending corrections that the projection did not contradict
+        # confirm the corrections the projection did not contradict, and
+        # roll back the others
         bad_set = set(int(j) for j in bad)
-        for j, (ri, rv) in pending.items():
+        for j, (ri, old) in undo.items():
             if j in bad_set:
+                R.a[ri, j] = old
                 continue
-            R.a[ri, j] = base.add(R.a[ri, j], rv)
             k_done += len(ri)
             rep.positions.extend((int(r), int(j)) for r in ri)
-        pending = {}
+        undo = {}
         if c > c_prev / 2:
             k_guess = max(2 * k_guess, c)  # too many bad columns: k was wrong
         c_prev = c
         if c == 0:
             break
         if dense_cheaper(base.q, params.eps, m, n, ell, c, k_guess - k_done):
-            # the dense result overwrites whatever is still pending
             _dense_solve(R, H, T, rep)
             rep.wall_time = time.perf_counter() - t0
             return rep
@@ -246,7 +249,9 @@ def _correction_loop(R, H, T, params, stage):
             big = ff.extend_field(base, m) if rep.extended else base
             tab = ff.element_of_order_at_least(big, m, rng=rng)
         s = min(m, max(1, math.ceil(2 * (k_guess - k_done) / c)))
-        pending = _recover(base, tab, s, H, R, T, bad)
+        for j, (ri, rv) in _recover(base, tab, s, H, R, T, bad).items():
+            undo[j] = (ri, R.a[ri, j])
+            R.a[ri, j] = base.add(R.a[ri, j], rv)
 
     rep.verified = True  # the loop exits on a clean Freivalds projection
     rep.corrected = k_done
@@ -275,18 +280,15 @@ def _dense_solve(R, H, T, rep, check=False):
     R.a[diff] = X[diff]
 
 
-def _projected_gap(ctx, W, H, Ra, pending, T):
-    """W H - (W (R+E)) T, reduced mod the field."""
-    X0 = H.project_left(Mat(ctx, W)).a
-    WR = ctx.matmul(W, Ra)
-    for j, (ri, rv) in pending.items():
-        we = ctx.matmul(W[:, ri], rv.reshape(-1, 1))[:, 0]
-        WR[:, j] = ctx.add(WR[:, j], we)
-    return ctx.sub(X0, T.mul_right(WR))
+def _projected_gap(ctx, W, H, Ra, T):
+    """W H - (W R) T, reduced mod the field."""
+    return ctx.sub(H.project_left(Mat(ctx, W)).a,
+                   T.mul_right(ctx.matmul(W, Ra)))
 
 
 def _recover(base, tab, s, H, R, T, bad):
-    """col -> (row indices, values) of E on the bad columns, over base.
+    """col -> (row indices, values) of the error E = H T^-1 - R on the bad
+    columns, over base.
 
     Only this step runs in big, the field of theta and its powers tab: with
     V = (theta^(i j)) of 2s rows, G (P^T T P) = V (H - R T) P = V E P is

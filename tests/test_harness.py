@@ -1,5 +1,7 @@
 """Scenario generation, file round trips, CLI behavior, reports."""
 
+import hashlib
+import json
 import os
 
 import numpy as np
@@ -11,7 +13,7 @@ from eclu.harness import (Scenario, WORKLOADS, bench_lu, correct, gen,
                           inject_errors, verify)
 from eclu.mat import Mat, multiply
 from eclu.matio import read_matrix, write_matrix
-from eclu.report import CorrectionReport, parse_report
+from eclu.report import CorrectionReport
 
 F7 = make_prime_field(7)
 FBIG = make_prime_field(65537)
@@ -114,20 +116,59 @@ def test_inject_errors_infeasible():
         inject_errors(rng, F7, [(a, np.tril_indices(3, -1))], 10)
 
 
+# content hash of the .mat files gen writes for one fixed scenario per
+# workload: generated instances must not move when gen is restructured
+_GEN_HASHES = {
+    "lu": "b0363c920c36e95b",
+    "rect": "ae9a78fa03070f06",
+    "rankdef": "0175259427c8a6d9",
+    "solve-small": "f41a924594b388a4",
+    "solve-large": "8c88d1395395cd83",
+    "trinv": "281d2828baf872d5",
+    "trsm": "1dcee144aab8ddd1",
+}
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_gen_files_unchanged(tmp_path, workload):
+    d = str(tmp_path / workload)
+    gen(Scenario(p=65537, n=10, m=4, rank=3, errors=3, seed=21,
+                 workload=workload), d)
+    h = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(d) if f.endswith(".mat")):
+        h.update(name.encode())
+        with open(os.path.join(d, name), "rb") as fh:
+            h.update(fh.read())
+    assert h.hexdigest()[:16] == _GEN_HASHES[workload]
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_roundtrip_all_workloads(tmp_path, workload):
-    sc = Scenario(p=65537, n=20, m=6, rank=5, errors=4, eps=0.05, seed=11,
-                  workload=workload)
-    d = str(tmp_path / workload)
-    gen(sc, d)
-    if workload not in ("solve-small", "solve-large"):
-        # solve workloads can pass pre-correction when all injected errors
-        # landed in the auxiliary candidates rather than in X
-        assert verify(d) is False
-    rep, verified = correct(d)
-    assert verified is True
-    assert verify(d) is True
-    assert os.path.exists(os.path.join(d, "report.txt"))
+    for p, nu in ((65537, 1), (2, 2)):
+        sc = Scenario(p=p, nu=nu, n=20, m=6, rank=5, errors=4, eps=0.05,
+                      seed=11, workload=workload)
+        d = str(tmp_path / ("%s-%d-%d" % (workload, p, nu)))
+        gen(sc, d)
+        assert Scenario.from_file(os.path.join(d, "scenario.json")) == sc
+        if workload not in ("solve-small", "solve-large"):
+            # solve workloads can pass pre-correction when all injected
+            # errors landed in the auxiliary candidates rather than in X
+            assert verify(d) is False
+        rep, verified = correct(d)
+        assert verified is True
+        assert verify(d) is True
+        with open(os.path.join(d, "report.json")) as fh:
+            assert CorrectionReport.from_json(fh.read()) == rep
+
+
+def test_scenario_rejects_unknown_key(tmp_path):
+    path = str(tmp_path / "scenario.json")
+    with open(path, "w") as fh:
+        json.dump({"p": 7, "n": 4, "workload": "lu", "size": 4}, fh)
+    with pytest.raises(TypeError):
+        Scenario.from_file(path)
+    with pytest.raises(ValueError):
+        Scenario(p=7, workload="qr")
 
 
 def test_correct_recovers_ground_truth(tmp_path):
@@ -149,12 +190,20 @@ def test_report_roundtrip():
                              positions=[(0, 1), (4, 2)])
     rep.add_child(child)
     rep.verified = True
-    back = parse_report(rep.serialize())
+    rep.wall_time = 0.25
+    back = CorrectionReport.from_json(rep.to_json())
+    assert back == rep
     assert back.stage == "croutec"
     assert back.corrected == 2 and back.verified
     assert back.children[0].stage == "trsmec_upper_right"
     assert back.children[0].positions == [(0, 1), (4, 2)]
-    assert abs(back.children[0].epsilon - 0.0125) < 1e-15
+    assert back.children[0].epsilon == 0.0125
+
+
+def test_report_rejects_unknown_key():
+    text = json.dumps({"stage": "croutec", "lambda": 2})
+    with pytest.raises(TypeError):
+        CorrectionReport.from_json(text)
 
 
 def test_cli_exit_codes(tmp_path):

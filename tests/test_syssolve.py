@@ -1,14 +1,17 @@
 """System-solving pipelines and triangular inverse correction."""
 
+import time
+
 import numpy as np
 import pytest
 
 from eclu.blackbox import BlackboxRHS
-from eclu.croutec import crout_reference, make_grp_instance
+from eclu.croutec import (crout_reference, make_grp_instance,
+                          rank_deficient_ec, rect_ec)
 from eclu.ff import make_prime_field
 from eclu.mat import Mat, PackedLU, Tri
-from eclu.syssolve import (LargeRhsBundle, SmallRhsBundle, small_m_cutoff,
-                           solve_large_rhs, solve_small_rhs, tr_inv_ec)
+from eclu.syssolve import (LargeRhsBundle, SmallRhsBundle, solve_large_rhs,
+                           solve_small_rhs, tr_inv_ec)
 from eclu.trsmec import TrsmEcParams, trsm_ec_upper_right
 
 F5 = make_prime_field(5)
@@ -136,11 +139,6 @@ def test_solve_small_zero_rhs():
     assert not X.a.any()
 
 
-def test_small_m_cutoff_shape():
-    assert small_m_cutoff(2) >= 1
-    assert small_m_cutoff(256) == 2.0  # 256^(1/8)
-
-
 def test_solve_small_random_suite():
     rng = np.random.default_rng(2)
     for trial in range(10):
@@ -157,7 +155,8 @@ def test_solve_small_random_suite():
 
 
 def test_solve_small_backsolve_shortcut():
-    # m = 1 <= n^(1/8): candidates are ignored, factors corrected, X solved
+    # m = 1: junk candidates for Y and X are replaced by dense solves against
+    # the corrected factors
     rng = np.random.default_rng(3)
     A, B, P, Y, X = make_solve_instance(FBIG, 32, 1, rng)
     truth = X.a.copy()
@@ -198,6 +197,39 @@ def test_solve_large_zero_rhs():
                             X_candidate=Mat.zeros(F7, 3, 6), eps=0.05)
     X, _ = solve_large_rhs(bundle, TrsmEcParams(0.05, seed=6))
     assert not X.a.any()
+
+
+def test_roots_time_their_whole_call():
+    # a root's wall_time covers its own work as well as its children's
+    rng = np.random.default_rng(7)
+    A, L, U = make_grp_instance(FBIG, (16, 40), rng)
+    corrupt(FBIG, U.a[:, 16:], 3, rng)
+    Ad, Ld, Ud = make_grp_instance(FBIG, (30, 20), rng, rank=12)
+    corrupt(FBIG, Ud.a[:, 12:], 3, rng)
+    As, Bs, Ps, Ys, Xs = make_solve_instance(FBIG, 24, 8, rng)
+    corrupt(FBIG, Xs.a, 3, rng)
+    Al, Bl, Pl, _, Xl = make_solve_instance(FBIG, 24, 40, rng)
+    corrupt(FBIG, Xl.a, 3, rng)
+    Rinv = upper_inverse(FBIG, Pl.upper_tri())
+    calls = {
+        "rect_ec": lambda params: rect_ec(
+            A, PackedLU.pack(L, U.view(0, 0, 16, 16)),
+            U.view(0, 16, 16, 24).copy(), params)[2],
+        "rank_deficient_ec": lambda params: rank_deficient_ec(
+            Ad, Ld, Ud, params)[3],
+        "solve_small_rhs": lambda params: solve_small_rhs(SmallRhsBundle(
+            As, Bs, Ps, Ys, Xs, 0.05), params)[1],
+        "solve_large_rhs": lambda params: solve_large_rhs(LargeRhsBundle(
+            Al, Bl, Pl, Rinv, Xl, 0.05), params)[1],
+    }
+    for stage, call in calls.items():
+        params = TrsmEcParams(0.05, seed=8)
+        t0 = time.perf_counter()
+        rep = call(params)
+        elapsed = time.perf_counter() - t0
+        assert rep.stage == stage and rep.corrected == 3
+        assert sum(c.wall_time for c in rep.children) < rep.wall_time
+        assert rep.wall_time <= elapsed
 
 
 def test_pipeline_epsilon_split():

@@ -205,6 +205,19 @@ def test_empty_dimensions():
     assert rep.verified and rep.corrected == 0
 
 
+def test_failure_keeps_only_confirmed_corrections(monkeypatch):
+    # with one round allowed, the values the first round recovers are never
+    # confirmed, so giving up rolls all of them back
+    monkeypatch.setattr(trsmec, "iteration_cap", lambda m, n: 1)
+    rng = np.random.default_rng(11)
+    R, H, U = make_right_instance(FBIG, 128, 128, 4, rng)
+    corrupt(FBIG, R, 8, rng)
+    before = R.a.copy()
+    with pytest.raises(trsmec.MonteCarloFailure):
+        trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=1))
+    assert np.array_equal(R.a, before)
+
+
 def test_result_satisfies_equation_densely():
     rng = np.random.default_rng(10)
     for trial in range(10):
@@ -231,7 +244,7 @@ def test_projected_gap_no_int64_overflow():
     U.solve_right(R)  # exact: R U = H
     for _ in range(200):
         W = ctx.rand(rng, (1, n))
-        assert not _projected_gap(ctx, W, H, R, {}, U).any()
+        assert not _projected_gap(ctx, W, H, R, U).any()
 
 
 # each public variant, with the kind of the right instance whose transpose
