@@ -73,13 +73,17 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.cmd == "gen":
         p, nu = _field(args.field)
-        sc = Scenario(p=p, nu=nu, n=args.n, m=args.m, rank=args.rank,
-                      errors=args.errors, eps=args.epsilon, seed=args.seed,
-                      workload=args.workload)
+        try:
+            sc = Scenario(p=p, nu=nu, n=args.n, m=args.m, rank=args.rank,
+                          errors=args.errors, eps=args.epsilon,
+                          seed=args.seed, workload=args.workload)
+        except ValueError as exc:
+            parser.error(str(exc))
         files = gen(sc, args.out)
         print("wrote %d matrices to %s" % (len(files), args.out))
         return 0

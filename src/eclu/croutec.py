@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from .blackbox import BlackboxRHS
-from .mat import DimensionError, Mat, PackedLU, Tri
+from .mat import _BLOCK_CHECK, DimensionError, Mat, PackedLU, Tri
 from .report import CorrectionReport
 from .trsmec import (TrsmEcParams, _correction_loop, freivalds_lambda,
                      trsm_ec_lower_left, trsm_ec_upper_right)
@@ -150,15 +150,6 @@ def _crout_ec(L, U, A, n1, nrest, params, rep):
                                    quarter, "trsmec_upper_right")
                   .shift(n1 + n2, n1))
     _crout_ec(L, U, A, n1 + n2, nrest - n2, quarter, rep)
-
-
-# Leaf size of both Crout recursions, and largest block crout_ec checks
-# densely.  From a one-thread sweep (OpenBLAS 0.3.31, numpy 2.4.6) of leaves
-# 8..64 over crout_reference (n = 256..1024; GF(7), GF(65537), GF(2^31-1))
-# and crout_ec (GF(7), n = 128, k = 1639; GF(65537), n = 1024, k = 0, 256):
-# 16..48 are within noise, 8 slows the reference 6-36% and 64 by 16-120%,
-# except at 2^31 - 1.
-_BLOCK_CHECK = 16
 
 
 def _node_check(L, U, A, n1, ns, params):

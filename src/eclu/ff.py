@@ -21,10 +21,8 @@ import numpy as np
 _INT64_MAX = (1 << 63) - 1
 
 # PrimeField.matmul: multiply-adds up to which a direct int64 product beats
-# a BLAS call, and the row (or col) count up to which splitting one operand
-# beats splitting both; both measured on OpenBLAS with one thread
+# a BLAS call, measured on OpenBLAS with one thread
 _TINY = 1 << 13
-_NARROW = 8
 
 # global field-operation counter, used by the benchmark harness; off until
 # the first reset_op_count(), and while off no call site evaluates a size
@@ -181,7 +179,7 @@ class PrimeField(FieldCtx):
             raise ZeroDivisionError("inverse of zero in %r" % self)
         if _COUNTING:
             _bump(1)
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def spow(self, a, e):
         if _COUNTING:
@@ -206,13 +204,11 @@ class PrimeField(FieldCtx):
          - int64, t (p-1)^2 <= 2^63 - 1: the direct product, for tiny
            products of at most _TINY multiply-adds;
          - float64 BLAS, t (p-1)^2 <= 2^53: for p < 2^24, where t >= 32;
-         - 16-bit halves for 2^24 < p < 2^31, x = 2^16 xh + xl with
-           xh < 2^15 and xl < 2^16.  When one side of the product has at
-           most _NARROW rows (or cols), or the product is tiny, only the
-           operand with fewer entries is split: two int64 products with
-           terms below 2^47, so t = 2^16.  Otherwise both are split and
-           [Ah; Al].[Bh Bl] is one float64 product with terms below 2^32,
-           so t = 2^21;
+         - 11-bit limbs for 2^24 < p < 2^31: the operand with fewer
+           entries is split as x = 2^22 x2 + 2^11 x1 + x0, every limb below
+           2^11, and its three limbs stacked against the other operand make
+           one float64 product with terms below 2^11 2^31 = 2^42, so
+           t = 2^11.  The three blocks fold back by Horner steps mod p;
          - Python ints (object dtype) for p >= 2^31.
 
         A longer inner dimension is cut into blocks of t, whose reduced
@@ -222,18 +218,15 @@ class PrimeField(FieldCtx):
         n = B.shape[1]
         if _COUNTING:
             _bump(m * ell * n)
-        tiny = m * ell * n <= _TINY
-        if tiny and ell <= self._int_terms:
+        if m * ell * n <= _TINY and ell <= self._int_terms:
             return (A @ B) % self.p
         if self.p >= 1 << 31:
             C = (A.astype(object) @ B.astype(object)) % self.p
             return C.astype(np.int64)
         if self.p < 1 << 24:
             kernel, t = self._mm_float, self._float_terms
-        elif tiny or min(m, n) <= _NARROW:
-            kernel, t = self._mm_split_one, 1 << 16
         else:
-            kernel, t = self._mm_split_both, 1 << 21
+            kernel, t = self._mm_limbs, 1 << 11
         C = kernel(A[:, :t], B[:t])
         for i in range(t, ell, t):
             C += kernel(A[:, i:i + t], B[i:i + t])
@@ -246,21 +239,20 @@ class PrimeField(FieldCtx):
         C %= self.p
         return C
 
-    def _mm_split_one(self, A, B):
+    def _mm_limbs(self, A, B):
         if A.size > B.size:
-            return self._mm_split_one(B.T, A.T).T
-        p = self.p
-        return ((A >> 16) @ B % p * 65536 + (A & 0xFFFF) @ B % p) % p
-
-    def _mm_split_both(self, A, B):
-        m, n = A.shape[0], B.shape[1]
-        A2 = np.concatenate((A >> 16, A & 0xFFFF)).astype(np.float64)
-        B2 = np.concatenate((B >> 16, B & 0xFFFF), axis=1).astype(np.float64)
-        C = (A2 @ B2).astype(np.int64)
-        p = self.p
-        # 2^32 hh + 2^16 (hl + lh) + ll, each term kept below 2^62
-        return (C[:m, :n] % p * ((1 << 32) % p)
-                + (C[:m, n:] + C[m:, :n]) % p * 65536 + C[m:, n:]) % p
+            return self._mm_limbs(B.T, A.T).T
+        m, p = A.shape[0], self.p
+        limbs = np.concatenate((A >> 22, A >> 11 & 0x7FF, A & 0x7FF))
+        C = (limbs.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+        # each block below 2^53 and the running residue times 2^11 below
+        # 2^42, so every Horner step stays within int64
+        r = C[:m] % p
+        for k in (1, 2):
+            r <<= 11
+            r += C[k * m:(k + 1) * m]
+            r %= p
+        return r
 
 
 class ExtField(FieldCtx):

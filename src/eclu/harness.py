@@ -68,6 +68,11 @@ class Scenario:
     def __post_init__(self):
         if self.workload not in _IDENTITIES:
             raise ValueError("unknown workload %r" % self.workload)
+        # a field the workload ignores would record a shape it does not have
+        if self.m is not None and self.workload in ("lu", "trinv"):
+            raise ValueError("workload %r takes no m" % self.workload)
+        if self.rank is not None and self.workload != "rankdef":
+            raise ValueError("workload %r takes no rank" % self.workload)
 
     def field(self):
         return ff.make_ext_field(self.p, self.nu)

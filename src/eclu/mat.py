@@ -10,14 +10,19 @@ view, so no dense copy of the triangle is made.
 
 A triangular solve halves the triangle down to diagonal base blocks of at
 most _TRSM_BASE rows and solves against each as one kernel product with
-the block's inverse.  A Tri stores the inverses it builds, keyed by kind,
-absolute offset and size, for as long as it lives, and its sub-triangles
-and transposes share that store.  A stored inverse is never rebuilt, so a
-sub-triangle may only be solved against once its block is final: crout_ec
-and crout_reference solve against a diagonal block only after that block's
-subtree has returned, and nothing writes into it afterwards (node checks
-only multiply by sub-triangles and Crout leaves only eliminate, neither
-reads an inverse).  Every other Tri starts an empty store.
+the block's inverse.  That inverse is built from the inverses of the
+block's two halves by two kernel products, down to leaves of at most
+_BLOCK_CHECK rows (the Crout leaf), which are inverted by repeated
+squaring.  A Tri stores the inverses it builds, halves included, keyed by
+kind, absolute offset and size, for as long as it lives, and its
+sub-triangles and transposes share that store, so a block whose halves a
+Crout level has already solved against costs two products.  A stored
+inverse is never rebuilt, so a sub-triangle may only be solved against
+once its block is final: crout_ec and crout_reference solve against a
+diagonal block only after that block's subtree has returned, and nothing
+writes into it afterwards (node checks only multiply by sub-triangles and
+Crout leaves only eliminate, neither reads an inverse).  Every other Tri
+starts an empty store.
 """
 
 import numpy as np
@@ -224,12 +229,34 @@ class Tri:
         _solve_right(self.T, a.T)
 
     def _block_inverse(self, o, b):
-        """Inverse of the diagonal block on o..o+b-1, from the store."""
+        """Inverse of the diagonal block on o..o+b-1, from the store.
+
+        A block of more than _BLOCK_CHECK rows is built from the inverses
+        X1, X2 of its halves, split at (b + 1) // 2 as _solve_rec splits,
+        and fetched through the store: with T12 (T21) the off-diagonal
+        block, an upper inverse is [[X1, -X1.T12.X2], [0, X2]] and a lower
+        one [[X1, 0], [-X2.T21.X1, X2]], two kernel products.
+        """
         key = (self.kind, self._off + o, b)
         inv = self._inv.get(key)
-        if inv is None:
-            inv = self._inv[key] = _inverse(
-                self.ctx, self.a[o:o + b, o:o + b], self.kind, self.unit)
+        if inv is not None:
+            return inv
+        ctx, a = self.ctx, self.a
+        if b <= _BLOCK_CHECK:
+            inv = _inverse(ctx, a[o:o + b, o:o + b], self.kind, self.unit)
+        else:
+            h = (b + 1) // 2
+            X1 = self._block_inverse(o, h)
+            X2 = self._block_inverse(o + h, b - h)
+            inv = np.zeros((b, b), dtype=np.int64)
+            inv[:h, :h], inv[h:, h:] = X1, X2
+            if self.kind == "upper":
+                inv[:h, h:] = ctx.neg(ctx.matmul(
+                    ctx.matmul(X1, a[o:o + h, o + h:o + b]), X2))
+            else:
+                inv[h:, :h] = ctx.neg(ctx.matmul(
+                    ctx.matmul(X2, a[o + h:o + b, o:o + h]), X1))
+        self._inv[key] = inv
         return inv
 
 
@@ -242,7 +269,8 @@ _PANEL = 128
 
 # The identity and the masks of the strict triangles, read as their top
 # left b-by-b corners for any block size b up to _PANEL: the panels'
-# diagonal blocks and the base blocks of at most _TRSM_BASE rows.
+# diagonal blocks and the leaves of at most _BLOCK_CHECK rows that _inverse
+# inverts.
 _EYE = np.eye(_PANEL, dtype=np.int64)
 _STRICT = {"upper": np.triu(_EYE == 0), "lower": np.tril(_EYE == 0)}
 for _mask in (_EYE, *_STRICT.values()):
@@ -256,6 +284,15 @@ for _mask in (_EYE, *_STRICT.values()):
 # builds its inverses (a fresh Tri) costs least at 24-48 and 30-50% more
 # at 64 and 96 for n = 1024.
 _TRSM_BASE = 48
+
+# Leaf size of both Crout recursions, largest block crout_ec checks densely,
+# and largest diagonal block whose inverse _inverse builds directly.  From a
+# one-thread sweep (OpenBLAS 0.3.31, numpy 2.4.6) of leaves 8..64 over
+# crout_reference (n = 256..1024; GF(7), GF(65537), GF(2^31-1)) and crout_ec
+# (GF(7), n = 128, k = 1639; GF(65537), n = 1024, k = 0, 256): 16..48 are
+# within noise, 8 slows the reference 6-36% and 64 by 16-120%, except at
+# 2^31 - 1.
+_BLOCK_CHECK = 16
 
 
 def _solve_right(T, B):
@@ -298,7 +335,9 @@ def _inverse(ctx, a, kind, unit):
 
     With D the diagonal and N the strict triangle, a = (I + M) D where
     M = N D^-1 is nilpotent, so a^-1 = D^-1 (I - M)(I + M^2)(I + M^4)...:
-    ceil(log2 b) - 1 squarings and as many products.
+    ceil(log2 b) - 1 squarings and as many products.  Tri._block_inverse
+    calls it on its leaves, of at most _BLOCK_CHECK rows, and builds every
+    larger block from its halves.
     """
     b = a.shape[0]
     d = None if unit else np.array([ctx.sinv(x) for x in a.diagonal()],

@@ -241,7 +241,7 @@ def test_op_counting_off_until_reset(monkeypatch):
 
 
 # a prime on each side of the thresholds of PrimeField.matmul on p: 2^24
-# (float64 blocks below, 16-bit halves above) and 2^31 (Python ints above)
+# (float64 blocks below, 11-bit limbs above) and 2^31 (Python ints above)
 KERNEL_PRIMES = [2, 7, 2 ** 16 + 1, 2 ** 24 - 3, 2 ** 24 + 43, 2 ** 29 - 3,
                  2 ** 31 - 1, 2 ** 31 + 11, 2 ** 61 - 1]
 
@@ -307,12 +307,37 @@ def test_matmul_all_max_residues(p, m, ell, n):
 
 @pytest.mark.parametrize("p", [2 ** 24 - 3, 2 ** 29 - 3, 2 ** 31 - 1])
 def test_matmul_inner_dimension_beyond_one_block(p):
-    # 70000 inner terms span 2188 float64 blocks of 32 at 2^24 - 3, and two
-    # int64 blocks of 2^16 for the 16-bit halves above 2^24
+    # 70000 inner terms span 2188 float64 blocks of 32 at 2^24 - 3, and 35
+    # float64 blocks of 2^11 for the 11-bit limbs above 2^24
     rng = np.random.default_rng(1)
     for fill in ("max", "random"):
         check_matmul(p, operand(rng, p, (1, 70000), fill, "plain"),
                      operand(rng, p, (70000, 2), fill, "transposed"))
+
+
+@pytest.mark.parametrize("p", [2 ** 24 + 43, 2 ** 29 - 3, 2 ** 31 - 1])
+@pytest.mark.parametrize("ell", [2047, 2048, 2049])
+def test_matmul_limb_block_at_its_bound(p, ell):
+    # a float64 block of the 11-bit limbs holds 2^11 terms below 2^42;
+    # all-(p-1) operands make every term and every block sum its largest,
+    # whichever side is split
+    rng = np.random.default_rng(2)
+    check_matmul(p, operand(rng, p, (1, ell), "max", "plain"),
+                 operand(rng, p, (ell, 3), "max", "transposed"))
+    check_matmul(p, operand(rng, p, (3, ell), "max", "strided"),
+                 operand(rng, p, (ell, 1), "max", "plain"))
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_sinv_matches_fermat(p):
+    f = make_prime_field(p)
+    rng = np.random.default_rng(p % 1009)
+    for a in [1, p - 1] + rng.integers(1, p, 20).tolist():
+        assert f.sinv(a) == pow(a, p - 2, p)
+        assert f.sinv(a + p) == f.sinv(a)
+    for zero in (0, p):
+        with pytest.raises(ZeroDivisionError):
+            f.sinv(zero)
 
 
 def test_canonical_reduces_only_out_of_range_codes():

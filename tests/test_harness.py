@@ -30,6 +30,60 @@ def test_matrix_file_roundtrip(tmp_path):
         assert np.array_equal(back.a, M.a)
 
 
+@pytest.mark.parametrize("ctx", [FBIG, make_ext_field(7, 2)], ids=repr)
+def test_matrix_file_roundtrip_rewrites_the_same_bytes(tmp_path, ctx):
+    rng = np.random.default_rng(3)
+    a = ctx.rand(rng, (40, 33))
+    a[0] = 0
+    a[:, -1] = ctx.q - 1
+    for sparse in (False, True):
+        path, again = str(tmp_path / "m.mat"), str(tmp_path / "again.mat")
+        write_matrix(path, Mat(ctx, a), sparse=sparse)
+        back = read_matrix(path)
+        assert back.ctx == ctx and np.array_equal(back.a, a)
+        write_matrix(again, back, sparse=sparse)
+        with open(path, "rb") as f1, open(again, "rb") as f2:
+            assert f1.read() == f2.read()
+
+
+def test_matrix_file_text_unchanged(tmp_path):
+    # the exact text the one-element-at-a-time writer produced
+    cases = [
+        (make_ext_field(7, 2), [[0, 48, 8], [13, 0, 0]],
+         "field 7 2\ndense 2 3\n0,0 6,6 1,1\n6,1 0,0 0,0\n",
+         "field 7 2\nsparse 2 3 3\n0 1 6,6\n0 2 1,1\n1 0 6,1\n"),
+        (FBIG, [[0, 65536, 2], [3, 0, 0]],
+         "field 65537 1\ndense 2 3\n0 65536 2\n3 0 0\n",
+         "field 65537 1\nsparse 2 3 3\n0 1 65536\n0 2 2\n1 0 3\n"),
+    ]
+    path = tmp_path / "m.mat"
+    for ctx, a, dense, sparse in cases:
+        for text, layout in ((dense, False), (sparse, True)):
+            write_matrix(str(path), Mat(ctx, np.array(a)), sparse=layout)
+            assert path.read_text() == text
+            assert read_matrix(str(path)).a.tolist() == a
+
+
+@pytest.mark.parametrize("body", [
+    "field 7 1\ndense 2 3\n1 2 3\n4 5\n",        # a short row
+    "field 7 1\ndense 2 2\n1 2 3\n4 5 6\n",     # rows too long
+    "field 7 1\ndense 2 2\n1 2\n",               # a missing row
+    "field 7 1\ndense 1 2\n1 7\n",               # out of range
+    "field 7 1\ndense 1 2\n-1 2\n",
+    "field 7 1\ndense 1 2\n1 99999999999999999999\n",
+    "field 7 2\ndense 1 2\n1,2 3\n",             # an element short
+    "field 7 2\ndense 1 2\n1,2,3 4\n",
+    "field 7 2\ndense 1 2\n1,2 3,7\n",
+    "field 7 1\nsparse 2 2 1\n0 1\n",
+    "field 7 1\nsparse 2 2 1\n0 1 9\n",
+])
+def test_read_matrix_rejects_malformed_entries(tmp_path, body):
+    path = tmp_path / "bad.mat"
+    path.write_text(body)
+    with pytest.raises(ValueError):
+        read_matrix(str(path))
+
+
 def test_matrix_file_sparse_roundtrip(tmp_path):
     M = Mat.zeros(F7, 6, 9)
     M.a[2, 5] = 3
@@ -129,11 +183,18 @@ _GEN_HASHES = {
 }
 
 
+def shape_fields(workload, m, rank):
+    """The scenario fields besides n that the workload uses."""
+    if workload in ("lu", "trinv"):
+        return {}
+    return {"m": m, "rank": rank} if workload == "rankdef" else {"m": m}
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_gen_files_unchanged(tmp_path, workload):
     d = str(tmp_path / workload)
-    gen(Scenario(p=65537, n=10, m=4, rank=3, errors=3, seed=21,
-                 workload=workload), d)
+    gen(Scenario(p=65537, n=10, errors=3, seed=21, workload=workload,
+                 **shape_fields(workload, 4, 3)), d)
     h = hashlib.sha256()
     for name in sorted(f for f in os.listdir(d) if f.endswith(".mat")):
         h.update(name.encode())
@@ -145,8 +206,8 @@ def test_gen_files_unchanged(tmp_path, workload):
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_roundtrip_all_workloads(tmp_path, workload):
     for p, nu in ((65537, 1), (2, 2)):
-        sc = Scenario(p=p, nu=nu, n=20, m=6, rank=5, errors=4, eps=0.05,
-                      seed=11, workload=workload)
+        sc = Scenario(p=p, nu=nu, n=20, errors=4, eps=0.05, seed=11,
+                      workload=workload, **shape_fields(workload, 6, 5))
         d = str(tmp_path / ("%s-%d-%d" % (workload, p, nu)))
         gen(sc, d)
         assert Scenario.from_file(os.path.join(d, "scenario.json")) == sc
@@ -169,6 +230,24 @@ def test_scenario_rejects_unknown_key(tmp_path):
         Scenario.from_file(path)
     with pytest.raises(ValueError):
         Scenario(p=7, workload="qr")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_scenario_rejects_fields_its_workload_ignores(workload):
+    used = shape_fields(workload, 4, 3)
+    Scenario(p=7, n=10, workload=workload, **used)
+    for key, value in (("m", 4), ("rank", 3)):
+        if key not in used:
+            with pytest.raises(ValueError):
+                Scenario(p=7, n=10, workload=workload,
+                         **dict(used, **{key: value}))
+
+
+def test_cli_gen_rejects_fields_its_workload_ignores(tmp_path):
+    with pytest.raises(SystemExit):
+        main(["gen", "--workload", "lu", "--m", "4",
+              "--out", str(tmp_path / "x")])
+    assert not (tmp_path / "x").exists()
 
 
 def test_correct_recovers_ground_truth(tmp_path):

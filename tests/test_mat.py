@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eclu import mat
+from eclu import ff, mat
 from eclu.ff import embed_up, extend_field, make_ext_field, make_prime_field
 from eclu.mat import (DimensionError, Mat, PackedLU, SingularMatrixError, Tri,
                       multiply, nnz, trsm)
@@ -242,16 +242,79 @@ def test_tri_store_shared_by_sub_triangles_and_transposes_only():
     a, _ = tri_operand(FBIG, 130, "upper", False, rng)
     T = Tri(Mat(FBIG, a), "upper")
     T.solve_right(FBIG.rand(rng, (2, 130)))
-    assert set(T._inv) == {("upper", o, b) for o, b in
-                           ((0, 33), (33, 32), (65, 33), (98, 32))}
+    # the base blocks (0, 33), (33, 32), (65, 33) and (98, 32), each with
+    # the halves it was built from, down to leaves of at most 16 rows
+    keys = {("upper", o, b) for o, b in
+            ((0, 33), (0, 17), (0, 9), (9, 8), (17, 16),
+             (33, 32), (33, 16), (49, 16),
+             (65, 33), (65, 17), (65, 9), (74, 8), (82, 16),
+             (98, 32), (98, 16), (114, 16))}
+    assert set(T._inv) == keys
     # a node of the split tree: its base blocks are the root's last two
     S = T.sub(65, 65)
     assert S._inv is T._inv and S.T._inv is T._inv and S.T._off == 65
     S.solve_right(FBIG.rand(rng, (2, 65)))
-    assert len(T._inv) == 4
+    assert set(T._inv) == keys
     for other in (T.principal([0, 5, 9]), T.with_ctx(FBIG),
                   Tri(Mat(FBIG, a), "upper")):
         assert other._inv == {} and other._inv is not T._inv
+
+
+# Tri._block_inverse on both sides of the leaf size mat._BLOCK_CHECK = 16,
+# on odd and even splits, up to the largest base block _TRSM_BASE = 48
+INV_FIELDS = [make_prime_field(p) for p in (2, 7, 65537, 2 ** 31 - 1,
+                                            2 ** 61 - 1)]
+INV_FIELDS.append(make_ext_field(7, 3))
+INV_SIZES = [1, 2, 15, 16, 17, 33, 47, 48]
+
+
+@pytest.mark.parametrize("ctx", INV_FIELDS, ids=repr)
+def test_block_inverse_inverts_its_block(ctx):
+    rng = np.random.default_rng(ctx.q % 1031)
+    size = 60
+    for kind in ("upper", "lower"):
+        for unit in (False, True):
+            a, dense = tri_operand(ctx, size, kind, unit, rng)
+            for b in INV_SIZES:
+                for o in (0, 5, size - b):
+                    # a fresh store, so that every block is built anew
+                    X = Tri(Mat(ctx, a), kind, unit=unit)._block_inverse(o, b)
+                    blk = dense[o:o + b, o:o + b]
+                    assert np.array_equal(oracle_product(ctx, X, blk),
+                                          np.eye(b, dtype=np.int64))
+
+
+def test_block_inverse_from_stored_halves_takes_two_products(monkeypatch):
+    # a field of its own, so that the counter leaves the shared one alone
+    ctx = ff.PrimeField(2 ** 31 - 1)
+    rng = np.random.default_rng(23)
+    products, leaves = [], []
+    matmul, inverse = ctx.matmul, mat._inverse
+
+    def counting_matmul(A, B):
+        products.append(A.shape)
+        return matmul(A, B)
+
+    def counting_inverse(*args):
+        leaves.append(args)
+        return inverse(*args)
+
+    monkeypatch.setattr(ctx, "matmul", counting_matmul)
+    monkeypatch.setattr(mat, "_inverse", counting_inverse)
+    for kind in ("upper", "lower"):
+        for unit in (False, True):
+            a, dense = tri_operand(ctx, 100, kind, unit, rng)
+            T = Tri(Mat(ctx, a), kind, unit=unit)
+            for o, b in ((3, 24), (27, 24), (51, 17), (68, 16)):
+                T._block_inverse(o, b)
+            for o, b in ((3, 48), (51, 33)):
+                products.clear()
+                leaves.clear()
+                X = T._block_inverse(o, b)
+                assert len(products) == 2 and leaves == []
+                assert np.array_equal(
+                    oracle_product(ctx, X, dense[o:o + b, o:o + b]),
+                    np.eye(b, dtype=np.int64))
 
 
 def test_lifted_tri_builds_its_own_inverses():
