@@ -34,9 +34,9 @@ def _read_table(path, ctx, lines, lead, width):
     nu = ctx.nu
     if nu > 1:
         elem = r"[^\s,]+" + r",[^\s,]+" * (nu - 1)
-        shape = re.compile(r"(?:\S+\s+){%d}%s(?:\s+%s)*" % (lead, elem, elem))
+        row = re.compile(r"(?:\S+\s+){%d}%s(?:\s+%s)*" % (lead, elem, elem))
         for ln in lines:
-            if not shape.fullmatch(ln):
+            if not row.fullmatch(ln):
                 raise ValueError("%s: bad extension element in %r"
                                  % (path, ln))
         lines = [ln.replace(",", " ") for ln in lines]
