@@ -13,7 +13,7 @@ from .croutec import (GrpViolation, crout_ec, crout_reference,
 from .ff import (FieldError, extend_field, make_ext_field, make_prime_field,
                  element_of_order_at_least)
 from .mat import (DimensionError, Mat, PackedLU, SingularMatrixError, Tri,
-                  multiply, trsm)
+                  multiply)
 from .report import CorrectionReport
 from .sparseint import SparseColumn, batch_interpolate, interpolate_column
 from .syssolve import (LargeRhsBundle, SmallRhsBundle, solve_large_rhs,
@@ -32,6 +32,6 @@ __all__ = [
     "element_of_order_at_least", "extend_field", "interpolate_column",
     "make_ext_field", "make_grp_instance", "make_prime_field", "multiply",
     "rank_deficient_ec", "rect_ec", "solve_large_rhs", "solve_small_rhs",
-    "tr_inv_ec", "trsm", "trsm_ec_lower_left", "trsm_ec_lower_right",
+    "tr_inv_ec", "trsm_ec_lower_left", "trsm_ec_lower_right",
     "trsm_ec_upper_left", "trsm_ec_upper_right",
 ]

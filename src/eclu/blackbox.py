@@ -108,11 +108,10 @@ class BlackboxRHS:
                            sign=self.sign, ctx=self.ctx)
 
     def lift(self, big, base):
-        """Reinterpret all operands in the extension field `big`."""
-        from .ff import embed_up
-
+        """The same right-hand side read in big, a field that extend_field
+        built over base, where base codes are big codes."""
         def up(M):
-            return None if M is None else Mat(big, embed_up(base, big, M.a))
+            return None if M is None else Mat(big, M.a)
 
         return BlackboxRHS(C=up(self.C), A=up(self.A), B=up(self.B),
                            sign=self.sign, ctx=big)

@@ -3,11 +3,13 @@
 Two kinds of field are supported:
 
  - PrimeField: GF(p) with p prime, elements stored as int64 residues in [0, p).
- - ExtField: GF(p^nu), elements stored as packed base-p digit codes in
-   [0, p^nu); code sum_i c_i * p^i stands for the polynomial sum_i c_i * x^i.
+ - ExtField: GF(r^nu), a degree-nu extension of any base field GF(r), prime
+   or itself an extension.  Elements are stored as packed codes in
+   [0, r^nu): code sum_i c_i * r^i, each c_i a base code, stands for the
+   polynomial sum_i c_i * y^i, so every base element keeps its own code.
    Elementwise arithmetic goes through log, antilog and Zech-log tables;
-   matrix products split the codes into digit planes and run on the
-   PrimeField kernel.
+   matrix products split the codes into their nu digit planes and run on
+   the base field's kernel.
 
 All elementwise operations are vectorized over numpy int64 arrays of codes
 (plain Python ints work too).  Contexts are immutable after construction and
@@ -84,9 +86,13 @@ class FieldCtx:
 
     Attributes:
         p: characteristic (prime)
-        nu: extension degree (1 for prime fields)
-        q: cardinality p**nu
-        modulus: coefficient list of the irreducible modulus (None when nu=1)
+        nu: degree over its base (1 for prime fields)
+        q: cardinality, base.q**nu
+        modulus: coefficients, in base codes, of the irreducible modulus
+            over the base (None when nu=1)
+
+    Two contexts are equal when they are the same extension tower: GF(4)
+    extended by degree 2 and GF(2^2) have the same p and nu, but not q.
     """
 
     p = None
@@ -119,11 +125,10 @@ class FieldCtx:
         return self._reduce(a, a if in_place else None)
 
     def __eq__(self, other):
-        return (isinstance(other, FieldCtx)
-                and self.p == other.p and self.nu == other.nu)
+        return isinstance(other, FieldCtx) and self._key == other._key
 
     def __hash__(self):
-        return hash((self.p, self.nu))
+        return hash(self._key)
 
 
 class PrimeField(FieldCtx):
@@ -137,6 +142,7 @@ class PrimeField(FieldCtx):
         self.nu = 1
         self.q = int(p)
         self.modulus = None
+        self._key = (self.p,)
         # a product of two residues overflows int64 once (p-1)^2 > 2^63 - 1
         # (p > 3.04e9); mul falls back to object (bignum) arithmetic there
         self._big = (p - 1) ** 2 > _INT64_MAX
@@ -256,61 +262,73 @@ class PrimeField(FieldCtx):
 
 
 class ExtField(FieldCtx):
-    """GF(p^nu) via packed digit codes plus log, antilog and Zech tables.
+    """GF(r^nu), a degree-nu extension of a base field GF(r), via packed
+    codes plus log, antilog and Zech tables.
 
-    Codes stay packed.  Products go through discrete logs to a fixed
-    primitive element g, sums through the Zech logarithm
-    zech[n] = log(1 + g^n): a + b = g^(log a + zech[log b - log a]).  The
-    three int64 tables hold q entries each, so q is kept at desk scale
-    (q <= 2^20 enforced, where they take 24 MiB).  Matrix products run on
-    the prime kernel over digit planes (see matmul).
+    Code sum_i c_i r^i, each c_i a base code, stands for sum_i c_i y^i mod
+    the modulus, so a base element is its own code here: the constant
+    term.  Products go through discrete logs to a fixed primitive element
+    g, sums through the Zech logarithm zech[n] = log(1 + g^n):
+    a + b = g^(log a + zech[log b - log a]).  The three int64 tables hold q
+    entries each, so q is kept at desk scale (q <= 2^20 enforced, where
+    they take 24 MiB).  Matrix products run on the base kernel over the nu
+    digit planes of the codes (see matmul).
     """
 
-    def __init__(self, p, nu, modulus=None):
-        if not is_prime(p):
-            raise FieldError("%d is not prime" % p)
+    def __init__(self, base, nu, modulus=None):
         if nu < 2:
             raise FieldError("extension degree must be >= 2")
-        q = p ** nu
+        q = base.q ** nu
         if q > (1 << 20):
-            raise FieldError("extension field too large: %d^%d" % (p, nu))
-        self.p = int(p)
+            raise FieldError("extension field too large: %r^%d" % (base, nu))
+        self.base = base
+        self.p = base.p
         self.nu = int(nu)
         self.q = int(q)
+        self._key = (base._key, self.nu)
         if modulus is None:
-            modulus = _find_irreducible(p, nu)
-        self.modulus = tuple(int(c) % p for c in modulus)
+            modulus = _find_irreducible(base, nu)
+        self.modulus = tuple(
+            base.canonical(np.array(modulus, dtype=np.int64)).tolist())
         if len(self.modulus) != nu + 1 or self.modulus[-1] != 1:
             raise FieldError("modulus must be monic of degree %d" % nu)
-        self._pw = np.array([p ** i for i in range(nu)], dtype=np.int64)
-        self._base = make_prime_field(p)
+        self._pw = base.q ** np.arange(nu, dtype=np.int64)
         self._q1 = q - 1
         # -1 = g^((q-1)/2) for odd p
         self._half = (q - 1) // 2
-        # _fold[t, i*nu + j]: coefficient of x^t in x^(i+j) mod the modulus
-        x = [[0] * i + [1] for i in range(nu)]
-        self._fold = np.array([_polmul_mod(p, xi, xj, self.modulus)
-                               for xi in x for xj in x], dtype=np.int64).T.copy()
+        # _fold[t, i*nu + j]: coefficient of y^t in y^(i+j) mod the modulus
+        y = [[0] * i + [1] for i in range(nu)]
+        self._fold = np.array([_polmul_mod(base, yi, yj, self.modulus)
+                               for yi in y for yj in y],
+                              dtype=np.int64).T.copy()
         self._build_tables()
 
     def __repr__(self):
-        return "GF(%d^%d)" % (self.p, self.nu)
+        b = repr(self.base)[3:-1]
+        return "GF(%s^%d)" % (b if self.base.nu == 1 else "(%s)" % b, self.nu)
 
     # -- code <-> coefficient vector --------------------------------------
 
     def code(self, coeffs):
-        c = 0
-        for i, v in enumerate(coeffs):
-            c += (int(v) % self.p) * self.p ** i
-        return c
+        r = self.base.q
+        return sum((int(v) % r) * r ** i for i, v in enumerate(coeffs))
 
     def coeffs(self, code):
-        code = int(code)
-        out = []
-        for _ in range(self.nu):
-            out.append(code % self.p)
-            code //= self.p
-        return out
+        r = self.base.q
+        return [int(code) // r ** i % r for i in range(self.nu)]
+
+    def planes(self, A):
+        """[A_0; ...; A_{nu-1}]: the base-code digits of the code array A
+        (m-by-n), stacked by rows into a nu*m-by-n array."""
+        # digit i of a is a // r^i - r * (a // r^(i+1))
+        D = A // self._pw[:, None, None]
+        D[:-1] -= D[1:] * self.base.q
+        return D.reshape(self.nu * A.shape[0], A.shape[1])
+
+    def pack(self, D):
+        """The codes sum_i D_i r^i of the planes D = [D_0; ...; D_{nu-1}]."""
+        m, n = D.shape[0] // self.nu, D.shape[1]
+        return (self._pw @ D.reshape(self.nu, m * n)).reshape(m, n)
 
     def _reduce(self, a, out):
         raise FieldError("codes of %r must lie in [0, %d)" % (self, self.q))
@@ -409,67 +427,61 @@ class ExtField(FieldCtx):
     def matmul(self, A, B):
         """A.B for code arrays A (m-by-l) and B (l-by-n).
 
-        The nu^2 products of the base-p digit planes, A_i.B_j, come from one
-        PrimeField.matmul, [A_0; ...; A_{nu-1}].[B_0 ... B_{nu-1}], exact by
-        its own bounds.  _fold maps them to the coefficients of the product:
-        block (i, j) goes to x^(i+j), reduced by the modulus.  Exact-integer
-        bound: _fold sums nu^2 products of two residues, below nu^2 p^2 <=
-        2^29, as q = p^nu <= 2^20 gives nu <= 20 and p^2 <= 2^20.
+        The nu^2 products of the digit planes, A_i.B_j, come from one base
+        product planes(A).[B_0 ... B_{nu-1}], and one more base product by
+        _fold maps them to the planes of A.B: block (i, j) goes to y^(i+j),
+        reduced by the modulus.  Both are exact by the base's own bounds.
         """
         m, ell = A.shape
         n = B.shape[1]
-        p, nu = self.p, self.nu
-        # m*ell*n field ops net, once base.matmul below adds nu^2 m*ell*n
+        nu, base = self.nu, self.base
+        # m*ell*n field ops net, once the two base products below add
+        # nu^2 m*ell*n and nu^3 m*n
         if _COUNTING:
-            _bump(m * ell * n * (1 - nu * nu))
-        # digit i of a is a // p^i - p * (a // p^(i+1))
-        Ad = A // self._pw[:, None, None]
-        Ad[:-1] -= Ad[1:] * p
-        Bd = B[:, None, :] // self._pw[:, None]
-        Bd[:, :-1] -= Bd[:, 1:] * p
-        C = self._base.matmul(Ad.reshape(nu * m, ell), Bd.reshape(ell, nu * n))
-        C = self._fold @ C.reshape(nu, m, nu, n).transpose(0, 2, 1, 3).reshape(
+            _bump(m * ell * n - nu * nu * (m * ell * n + nu * m * n))
+        C = base.matmul(self.planes(A), self.planes(B.T).T)
+        C = C.reshape(nu, m, nu, n).transpose(0, 2, 1, 3).reshape(
             nu * nu, m * n)
-        C %= p
-        return (self._pw @ C).reshape(m, n)
+        return self.pack(base.matmul(self._fold, C).reshape(nu * m, n))
 
     # -- construction helpers ---------------------------------------------
 
     def _build_tables(self):
         """exp[i] = g^i, log (-1 at 0) and zech[n] = log(1 + g^n).
 
-        With M the nu-by-nu matrix of multiplication by g over GF(p), the
-        block of b powers from g^s on is M^s times the coefficient vectors
-        of g^0..g^(b-1); no temporary is larger than a block.
+        With M the nu-by-nu matrix of multiplication by g over the base,
+        the block of b powers from g^s on is M^s times the coefficient
+        vectors of g^0..g^(b-1), one base product; no temporary is larger
+        than a block.
         """
-        p, nu, q = self.p, self.nu, self.q
+        base, nu, q = self.base, self.nu, self.q
         g = self.coeffs(self._find_generator())
-        M = np.array([_polmul_mod(p, [0] * j + [1], g, self.modulus)
+        M = np.array([_polmul_mod(base, [0] * j + [1], g, self.modulus)
                       for j in range(nu)], dtype=np.int64).T
         b = math.isqrt(q - 1) + 1
         G = np.empty((nu, b), dtype=np.int64)
         Mb = np.eye(nu, dtype=np.int64)
         for j in range(b):
             G[:, j] = Mb[:, 0]
-            Mb = M @ Mb % p
+            Mb = base.matmul(M, Mb)
         exp = np.empty(q - 1, dtype=np.int64)
         log = np.full(q, -1, dtype=np.int64)
         Ms = np.eye(nu, dtype=np.int64)
         for s in range(0, q - 1, b):
-            codes = (self._pw @ (Ms @ G % p))[:q - 1 - s]
+            codes = self.pack(base.matmul(Ms, G))[0, :q - 1 - s]
             exp[s:s + b] = codes
             log[codes] = np.arange(s, s + len(codes))
-            Ms = Mb @ Ms % p
+            Ms = base.matmul(Mb, Ms)
         # g generates all q - 1 units only when the modulus is irreducible
         if log[1:].min() < 0:
-            raise FieldError("modulus %s is not irreducible over GF(%d)"
-                             % (list(self.modulus), self.p))
+            raise FieldError("modulus %s is not irreducible over %r"
+                             % (list(self.modulus), base))
         zech = np.empty(q - 1, dtype=np.int64)
         for s in range(0, q - 1, b):
             # 1 + g^n: add 1 to the constant digit
             c = exp[s:s + b]
-            c0 = c % p
-            zech[s:s + b] = log[c - c0 + (c0 + 1) % p]
+            c0 = c % base.q
+            zech[s:s + b] = log[c - c0 + base.add(c0, 1)]
         self._exp = exp
         self._log = log
         self._zech = zech
@@ -480,7 +492,7 @@ class ExtField(FieldCtx):
         fac = _prime_factors(q - 1)
         for cand in range(2, q):
             cc = self.coeffs(cand)
-            if all(_polpow(self.p, cc, (q - 1) // f, self.modulus) != one
+            if all(_polpow(self.base, cc, (q - 1) // f, self.modulus) != one
                    for f in fac):
                 return cand
         raise FieldError("no generator found (modulus not irreducible?)")
@@ -499,8 +511,11 @@ def _prime_factors(n):
     return sorted(fac)
 
 
-def _poly_gcd_is_one(p, f, g):
-    """gcd over GF(p) of coefficient lists, low degree first."""
+# Polynomials over a field F: lists of F's codes, lowest degree first,
+# computed with F's scalar ops.
+
+def _poly_gcd_is_one(F, f, g):
+    """Whether gcd(f, g) over F is a unit."""
     def deg(h):
         for i in range(len(h) - 1, -1, -1):
             if h[i]:
@@ -514,60 +529,62 @@ def _poly_gcd_is_one(p, f, g):
         if df < dg:
             f, g = g, f
             continue
-        lead = f[df] * pow(g[dg], p - 2, p) % p
+        lead = F.smul(f[df], F.sinv(g[dg]))
         for i in range(dg + 1):
-            f[df - dg + i] = (f[df - dg + i] - lead * g[i]) % p
+            f[df - dg + i] = F.ssub(f[df - dg + i], F.smul(lead, g[i]))
         f, g = g, f[:deg(f) + 1] if deg(f) >= 0 else [0]
     return deg(f) == 0
 
 
-def _polmul_mod(p, f, g, modulus):
-    """f.g mod the monic modulus over GF(p); coefficient lists, low first."""
+def _polmul_mod(F, f, g, modulus):
+    """f.g mod the monic modulus over F."""
     nu = len(modulus) - 1
     out = [0] * (2 * nu - 1)
     for i, fi in enumerate(f):
         if fi:
             for j, gj in enumerate(g):
-                out[i + j] = (out[i + j] + fi * gj) % p
+                out[i + j] = F.sadd(out[i + j], F.smul(fi, gj))
     for d in range(len(out) - 1, nu - 1, -1):
         c = out[d]
         if c:
             for i in range(nu):
-                out[d - nu + i] = (out[d - nu + i] - c * modulus[i]) % p
+                out[d - nu + i] = F.ssub(out[d - nu + i],
+                                         F.smul(c, modulus[i]))
     return out[:nu]
 
 
-def _polpow(p, f, e, modulus):
-    """f^e mod the monic modulus over GF(p), by square-and-multiply."""
+def _polpow(F, f, e, modulus):
+    """f^e mod the monic modulus over F, by square-and-multiply."""
     acc = [1] + [0] * (len(modulus) - 2)
     while e:
         if e & 1:
-            acc = _polmul_mod(p, acc, f, modulus)
-        f = _polmul_mod(p, f, f, modulus)
+            acc = _polmul_mod(F, acc, f, modulus)
+        f = _polmul_mod(F, f, f, modulus)
         e >>= 1
     return acc
 
 
-def _is_irreducible(p, coeffs):
-    """Monic coeffs (low first, degree nu >= 2): irreducible over GF(p)?"""
-    nu = len(coeffs) - 1
+def _is_irreducible(F, coeffs):
+    """Monic coeffs (degree nu >= 2): irreducible over F?"""
+    nu, r = len(coeffs) - 1, F.q
     x = [0, 1] + [0] * (nu - 2)
-    # x^(p^nu) == x mod f, and gcd(x^(p^i) - x, f) = 1 for i <= nu/2
-    if _polpow(p, x, p ** nu, coeffs) != x:
+    # x^(r^nu) == x mod f, and gcd(x^(r^i) - x, f) = 1 for i <= nu/2
+    if _polpow(F, x, r ** nu, coeffs) != x:
         return False
     for i in range(1, nu // 2 + 1):
-        xpi = _polpow(p, x, p ** i, coeffs)
-        diff = [(a - b) % p for a, b in zip(xpi, x)]
-        if not _poly_gcd_is_one(p, diff, list(coeffs)):
+        xri = _polpow(F, x, r ** i, coeffs)
+        diff = [F.ssub(a, b) for a, b in zip(xri, x)]
+        if not _poly_gcd_is_one(F, diff, list(coeffs)):
             return False
     return True
 
 
-def _find_irreducible(p, nu):
-    """First monic irreducible of degree nu in lexicographic code order."""
-    for t in range(p ** nu):
-        coeffs = [t // p ** i % p for i in range(nu)] + [1]
-        if _is_irreducible(p, coeffs):
+def _find_irreducible(F, nu):
+    """First monic irreducible of degree nu over F in code order."""
+    r = F.q
+    for t in range(r ** nu):
+        coeffs = [t // r ** i % r for i in range(nu)] + [1]
+        if _is_irreducible(F, coeffs):
             return coeffs
     raise FieldError("no irreducible polynomial found")  # cannot happen
 
@@ -577,20 +594,26 @@ _FIELD_CACHE = {}
 
 def make_prime_field(p):
     """GF(p) context; rejects non-prime p with a diagnostic."""
-    key = (int(p), 1)
+    key = int(p)
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = PrimeField(p)
     return _FIELD_CACHE[key]
 
 
-def make_ext_field(p, nu):
-    """GF(p^nu) with the canonical (lexicographically first) modulus."""
+def _extension(base, nu):
+    """The degree-nu extension of base with the canonical (first in code
+    order) modulus, one per (base, nu)."""
     if nu == 1:
-        return make_prime_field(p)
-    key = (int(p), int(nu))
+        return base
+    key = (base, nu)
     if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = ExtField(p, nu)
+        _FIELD_CACHE[key] = ExtField(base, nu)
     return _FIELD_CACHE[key]
+
+
+def make_ext_field(p, nu):
+    """GF(p^nu) over GF(p)."""
+    return _extension(make_prime_field(p), int(nu))
 
 
 def extension_degree(base, m):
@@ -601,76 +624,26 @@ def extension_degree(base, m):
 def extend_field(base, m):
     """Smallest-degree extension of `base` with more than m elements.
 
-    The degree is ceil(log_q(m+1)) over the base cardinality q.  Base-field
-    elements embed as degree-0 polynomials; `coerce_down` maps them back.
+    The degree is ceil(log_q(m+1)) over the base cardinality q.  It is
+    built over base itself, so base elements keep their codes there.
     """
     if m < base.q:
         raise FieldError("no extension needed: m=%d < #F=%d" % (m, base.q))
-    nu = extension_degree(base, m)
-    if base.nu == 1:
-        return make_ext_field(base.p, nu)
-    # extension of an extension: build GF(p^(a*nu)) and embed via a root of
-    # the base modulus
-    big = make_ext_field(base.p, base.nu * nu)
-    _embedding(base, big)
-    return big
-
-
-_EMBED_CACHE = {}
-
-
-def _embedding(base, big):
-    """Embedding table base -> big for nested extensions."""
-    key = (base.p, base.nu, big.nu)
-    if key in _EMBED_CACHE:
-        return _EMBED_CACHE[key]
-    # find a root of the base modulus in the big field
-    root = None
-    for cand in range(big.q):
-        acc = 0
-        for c in reversed(base.modulus):
-            acc = big.sadd(big.smul(acc, cand), c % big.p)
-        if acc == 0:
-            root = cand
-            break
-    if root is None:
-        raise FieldError("no embedding of %r into %r" % (base, big))
-    table = np.zeros(base.q, dtype=np.int64)
-    for code in range(base.q):
-        acc = 0
-        rp = 1
-        for c in base.coeffs(code):
-            acc = big.sadd(acc, big.smul(c, rp))
-            rp = big.smul(rp, root)
-        table[code] = acc
-    inverse = np.full(big.q, -1, dtype=np.int64)
-    inverse[table] = np.arange(base.q)
-    _EMBED_CACHE[key] = (table, inverse)
-    return _EMBED_CACHE[key]
+    return _extension(base, extension_degree(base, m))
 
 
 def embed_up(base, big, arr):
-    """Map an array of base-field codes into the bigger field."""
-    if base == big or base.nu == 1:
-        return arr  # a prime field's elements keep their codes
-    table, _ = _embedding(base, big)
-    return table[arr]
+    """base codes as codes of big, a field extend_field built over base:
+    the same codes."""
+    return arr
 
 
 def coerce_down(base, big, arr):
-    """Inverse of embed_up; raises FieldError on non-embedded elements."""
-    if base == big:
-        return arr
-    if base.nu == 1:
-        if np.any(arr >= base.p):  # constants keep their code
-            raise FieldError("non-constant element cannot be coerced to %r"
-                             % base)
-        return arr
-    _, inverse = _embedding(base, big)
-    out = inverse[arr]
-    if np.any(out < 0):
-        raise FieldError("element not in the embedded subfield")
-    return out
+    """Inverse of embed_up: raises FieldError unless every code of arr,
+    an element of big, lies in base, that is below base.q."""
+    if arr.size and arr.max() >= base.q:
+        raise FieldError("element of %r outside %r" % (big, base))
+    return arr
 
 
 class PowTable:

@@ -204,21 +204,6 @@ class Tri:
             out[J, np.arange(len(J))] = np.diagonal(self.a)[J]
         return Mat(self.ctx, out)
 
-    def principal(self, J):
-        """P^T T P as a concrete Tri on indices J (still triangular)."""
-        J = np.asarray(J, dtype=np.intp)
-        sub = self.a[np.ix_(J, J)].copy()
-        c = len(J)
-        idx = np.arange(c)
-        if self.kind == "upper":
-            sub[idx[:, None] > idx[None, :]] = 0
-        else:
-            sub[idx[:, None] < idx[None, :]] = 0
-        if self.unit:
-            sub[idx, idx] = 1
-        m = Mat(self.ctx, sub)
-        return Tri(m, self.kind, unit=False)
-
     def solve_right(self, B):
         """In place: B <- B T^{-1} (rows of B solved against T)."""
         _solve_right(self, B.a if isinstance(B, Mat) else B)
@@ -353,26 +338,6 @@ def _inverse(ctx, a, kind, unit):
         M = ctx.matmul(M, M)
         inv = ctx.matmul(inv, ctx.add(eye, M))
     return inv if unit else ctx.mul(d[:, None], inv)
-
-
-def trsm(kind, side, T, B):
-    """Triangular solve with matrix right-hand side, in place on B.
-
-    kind: "upper"/"lower"; side: "left" (B <- T^{-1} B) or "right"
-    (B <- B T^{-1}).  T may be a Tri (honoring an implicit unit diagonal)
-    or a square Mat.
-    """
-    if not isinstance(T, Tri):
-        T = Tri(T, kind)
-    elif T.kind != kind:
-        raise ValueError("Tri kind %r does not match requested %r"
-                         % (T.kind, kind))
-    if side == "right":
-        T.solve_right(B)
-    elif side == "left":
-        T.solve_left(B)
-    else:
-        raise ValueError("side must be 'left' or 'right'")
 
 
 class PackedLU:

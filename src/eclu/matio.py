@@ -8,7 +8,9 @@ coefficient digits ``c0,c1,...``.
 
 Both directions work on whole arrays: an element is its nu base-p digits,
 written by one format string over the whole table and read by one
-np.loadtxt over its lines.
+np.loadtxt over its lines.  Only the fields make_ext_field builds, GF(p)
+and GF(p^nu) over GF(p), are read and written; the header cannot name an
+extension built over another extension.
 """
 
 import re

@@ -179,17 +179,21 @@ def vandermonde_cols(ctx, tab, nrows, cols):
 
 
 def apply_vandermonde(ctx, tab, nrows, M):
-    """(theta^(i*j))_{i<nrows, j<m} applied to M.
+    """(theta^(i*j))_{i<nrows, j<m} applied to M, over M's field ctx.
 
-    Only the columns of V that meet a nonzero row of M are built, and the
-    product is one field matmul over those rows, so the cost tracks the
-    number of nonzero rows.
+    When theta's field tab.ctx is an extension built over ctx, V.M is
+    returned as its digit planes [V_0.M; ...; V_{nu-1}.M] over ctx, which
+    tab.ctx.pack turns into codes.  Only the columns of V that meet a
+    nonzero row of M are built, and the product is one matmul over ctx on
+    those rows, so the cost tracks the number of nonzero rows.
     """
     Ma = M.a if isinstance(M, Mat) else M
     m = Ma.shape[0]
     if m > tab.m:
         raise ValueError("row dimension exceeds the power table")
     live = np.nonzero(Ma.any(axis=1))[0]
-    out = ctx.matmul(vandermonde_cols(ctx, tab, nrows, live),
-                     Ma if len(live) == m else Ma[live])
+    V = vandermonde_cols(tab.ctx, tab, nrows, live)
+    if tab.ctx is not ctx:
+        V = tab.ctx.planes(V)
+    out = ctx.matmul(V, Ma if len(live) == m else Ma[live])
     return Mat(ctx, out) if isinstance(M, Mat) else out

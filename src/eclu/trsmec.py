@@ -14,8 +14,10 @@ requested epsilon, or with one deterministic dense solve when
 All but the recovery runs in R's own field: projections of lam =
 freivalds_lambda(q, n, eps) rows, residual solves, commits and dense solve.
 Recovery needs theta of order at least m, so on a field of at most m
-elements a recovery round lifts its operands to the smallest extension
-GF(p^nu) that has one, built on first use, and coerces the values back.
+elements theta comes from the smallest extension of R's field that has
+one, built over it on first use.  The recovery round still multiplies
+only over R's field, by the digit planes of the Vandermonde matrix, and
+checks that each recovered value lies in R's field.
 """
 
 import functools
@@ -290,25 +292,27 @@ def _recover(base, tab, s, H, R, T, bad):
     """col -> (row indices, values) of the error E = H T^-1 - R on the bad
     columns, over base.
 
-    Only this step runs in big, the field of theta and its powers tab: with
-    V = (theta^(i j)) of 2s rows, G (P^T T P) = V (H - R T) P = V E P is
-    formed from the lifted operands, solved, and interpolated; a value
-    outside base fails its column.
+    With V = (theta^(i j)) of 2s rows over theta's field big (tab.ctx),
+    G (P^T T P) = V (H - R T) P = V E P.  Every operand but V is over base,
+    so G is formed and solved as its digit planes over base (see
+    apply_vandermonde) and packed into big only to be interpolated; a
+    value outside base fails its column.
     """
     big = tab.ctx
-    up = functools.partial(ff.embed_up, base, big)
     rows = 2 * s
-    sel = H.select_cols(bad).lift(big, base)
-    VR = apply_vandermonde(big, tab, rows, up(R.a))
-    G = big.neg(big.matmul(VR, up(T.cols(bad).a)))
+    sel = H.select_cols(bad)
+    Tc = T.cols(bad).a
+    G = base.neg(base.matmul(apply_vandermonde(base, tab, rows, R.a), Tc))
     if sel.C is not None:
-        G = big.add(G, apply_vandermonde(big, tab, rows, sel.C.a))
+        G = base.add(G, apply_vandermonde(base, tab, rows, sel.C.a))
     if sel.A is not None:
-        VA = apply_vandermonde(big, tab, rows, sel.A.a)
-        prod = big.matmul(VA, sel.B.a)
-        G = big.sub(G, prod) if sel.sign < 0 else big.add(G, prod)
-    P = T.principal(bad)
-    P.with_ctx(big, up(P.a)).solve_right(G)
+        VA = apply_vandermonde(base, tab, rows, sel.A.a)
+        prod = base.matmul(VA, sel.B.a)
+        G = base.sub(G, prod) if sel.sign < 0 else base.add(G, prod)
+    # rows bad of T P are P^T T P, as bad is increasing
+    Tri(Mat(base, Tc[bad]), T.kind).solve_right(G)
+    if big is not base:
+        G = big.pack(G)
     pending = {}
     for j, col in zip(bad, batch_interpolate(big, G, s, tab)):
         if col is None or not col.indices:

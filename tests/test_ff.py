@@ -165,8 +165,8 @@ def test_embed_coerce_roundtrip(p, base_nu, m):
 
 def test_embedding_is_homomorphism():
     base = make_ext_field(2, 3)
-    big = extend_field(base, base.q)  # nested extension
-    assert big.nu % base.nu == 0 and big.q > base.q
+    big = extend_field(base, base.q)  # degree 2 over base
+    assert big.base is base and big.nu == 2 and big.q == base.q ** 2
     codes = np.arange(base.q, dtype=np.int64)
     up = ff.embed_up(base, big, codes)
     for a in range(base.q):
@@ -180,7 +180,7 @@ def test_coerce_down_rejects_outside_subfield():
     big = extend_field(base, 3)
     with pytest.raises(FieldError):
         ff.coerce_down(base, big, np.array([base.q], dtype=np.int64))
-    # GF(2^3) inside GF(2^6): 2^6 - 2^3 codes lie outside the image
+    # GF(2^3) inside its degree-2 extension: 2^6 - 2^3 codes lie outside
     base = make_ext_field(2, 3)
     big = extend_field(base, base.q)
     up = set(ff.embed_up(base, big, np.arange(base.q)).tolist())
@@ -197,6 +197,123 @@ def test_coerce_down_noncontiguous_input():
     up = ff.embed_up(base, big, a)
     back = ff.coerce_down(base, big, np.asfortranarray(up))
     assert np.array_equal(back, a)
+
+
+# Towers: extend_field over an extension base builds a field over that base,
+# checked against polynomials over the base in the base's own scalar ops
+TOWERS = [((2, 2), 3), ((3, 2), 2)]
+
+
+def tower(base_pnu, d):
+    base = make_ext_field(*base_pnu)
+    return extend_field(base, base.q ** (d - 1))
+
+
+def tower_digits(F, a):
+    return [a // F.base.q ** i % F.base.q for i in range(F.nu)]
+
+
+def tower_code(F, digits):
+    return sum(c * F.base.q ** i for i, c in enumerate(digits))
+
+
+def tower_add(F, a, b, op="sadd"):
+    return tower_code(F, [getattr(F.base, op)(x, y) for x, y in
+                          zip(tower_digits(F, a), tower_digits(F, b))])
+
+
+def tower_mul(F, a, b):
+    """Schoolbook product of the digit polynomials, reduced by the monic
+    modulus."""
+    B, nu = F.base, F.nu
+    prod = [0] * (2 * nu - 1)
+    for i, x in enumerate(tower_digits(F, a)):
+        for j, y in enumerate(tower_digits(F, b)):
+            prod[i + j] = B.sadd(prod[i + j], B.smul(x, y))
+    for d in range(2 * nu - 2, nu - 1, -1):
+        for i in range(nu):
+            prod[d - nu + i] = B.ssub(prod[d - nu + i],
+                                      B.smul(prod[d], F.modulus[i]))
+    return tower_code(F, prod[:nu])
+
+
+@pytest.mark.parametrize("base_pnu,d", TOWERS)
+def test_tower_arithmetic_matches_base_polynomials(base_pnu, d):
+    F = tower(base_pnu, d)
+    B = F.base
+    assert B == make_ext_field(*base_pnu) and F.nu == d and F.q == B.q ** d
+    # no root in the base: irreducible, as the degree is 2 or 3
+    for x in range(B.q):
+        acc = 0
+        for c in reversed(F.modulus):
+            acc = B.sadd(B.smul(acc, x), c)
+        assert acc != 0
+    codes = np.arange(F.q, dtype=np.int64)
+    a, b = np.repeat(codes, F.q), np.tile(codes, F.q)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    want = {"add": [tower_add(F, x, y) for x, y in pairs],
+            "sub": [tower_add(F, x, y, "ssub") for x, y in pairs],
+            "mul": [tower_mul(F, x, y) for x, y in pairs]}
+    for op, w in want.items():
+        assert getattr(F, op)(a, b).tolist() == w, op
+        assert [getattr(F, "s" + op)(x, y) for x, y in pairs] == w, op
+    assert all(tower_mul(F, x, F.sinv(x)) == 1 for x in range(1, F.q))
+    rng = np.random.default_rng(F.q)
+    A, M = F.rand(rng, (4, 6)), F.rand(rng, (6, 3))
+    want = [[0] * 3 for _ in range(4)]
+    for i in range(4):
+        for j in range(3):
+            for t in range(6):
+                prod = tower_mul(F, int(A[i, t]), int(M[t, j]))
+                want[i][j] = tower_add(F, want[i][j], prod)
+    assert F.matmul(A, M).tolist() == want
+
+
+@pytest.mark.parametrize("ctx", [make_ext_field(7, 3), make_ext_field(2, 9),
+                                 tower((2, 2), 3)], ids=repr)
+def test_planes_pack_roundtrip(ctx):
+    rng = np.random.default_rng(ctx.q)
+    r = ctx.base.q
+    for shape in ((0, 3), (3, 0), (1, 1), (5, 4)):
+        A = ctx.rand(rng, shape)
+        for view in (A, A.T, A[::2]):
+            m = view.shape[0]
+            D = ctx.planes(view)
+            assert D.shape == (ctx.nu * m, view.shape[1])
+            for i in range(ctx.nu):
+                assert np.array_equal(D[i * m:(i + 1) * m], view // r ** i % r)
+            assert np.array_equal(ctx.pack(D), view)
+    # a base matrix is its own constant plane
+    M = ctx.base.rand(rng, (3, 4))
+    assert np.array_equal(ctx.planes(M), np.vstack(
+        [M] + [np.zeros_like(M)] * (ctx.nu - 1)))
+
+
+def test_tower_and_flat_field_are_distinct():
+    gf2, gf4 = make_prime_field(2), make_ext_field(2, 2)
+    t = extend_field(gf4, 4)  # degree 2 over GF(4): p = nu = 2, as GF(2^2)
+    flat2, flat4 = make_ext_field(2, 2), make_ext_field(2, 4)
+    assert (t.p, t.nu, t.q) == (2, 2, 16)
+    assert t != flat2 and t != flat4 and len({t, flat2, flat4}) == 3
+    assert t is extend_field(gf4, 15) and t == ff.ExtField(gf4, 2)
+    assert ff._FIELD_CACHE[(gf4, 2)] is t
+    assert ff._FIELD_CACHE[(gf2, 4)] is flat4 is extend_field(gf2, 15)
+    # towers of the same p, nu and q but different bases
+    t3, f3 = extend_field(t, 16), extend_field(flat4, 16)
+    assert (t3.p, t3.nu, t3.q) == (f3.p, f3.nu, f3.q) == (2, 2, 256)
+    assert t3 != f3 and t3 is not f3
+
+
+@pytest.mark.parametrize("ctx", [make_ext_field(7, 3), tower((2, 2), 3)],
+                         ids=repr)
+def test_ext_matmul_counts_m_ell_n_ops(ctx):
+    ff.reset_op_count()
+    rng = np.random.default_rng(5)
+    for m, ell, n in ((3, 5, 2), (0, 4, 3), (4, 0, 2), (20, 30, 40)):
+        A, B = ctx.rand(rng, (m, ell)), ctx.rand(rng, (ell, n))
+        before = ff.op_count()
+        ctx.matmul(A, B)
+        assert ff.op_count() - before == m * ell * n
 
 
 def test_op_counter_moves():
@@ -368,7 +485,7 @@ def oracle_add(ctx, a, b, sign=1):
 
 
 def oracle_mul(ctx, a, b):
-    return ctx.code(ff._polmul_mod(ctx.p, ctx.coeffs(a), ctx.coeffs(b),
+    return ctx.code(ff._polmul_mod(ctx.base, ctx.coeffs(a), ctx.coeffs(b),
                                    ctx.modulus))
 
 
@@ -474,7 +591,7 @@ def test_ext_matmul_fixed_cases(p, nu, m, ell, n, fill, la, lb):
 
 def test_ext_gf2_20_matches_oracle():
     # the largest field ExtField builds, kept out of the field cache
-    ctx = ff.ExtField(2, 20)
+    ctx = ff.ExtField(make_prime_field(2), 20)
     assert len(ctx._exp) == len(ctx._zech) == ctx.q - 1 == len(ctx._log) - 1
     rng = np.random.default_rng(20)
     a = rng.integers(0, ctx.q, 200, dtype=np.int64)

@@ -1,12 +1,12 @@
-"""Dense matrices: multiply, TRSM variants, selections, packed LU layout."""
+"""Dense matrices: multiply, triangular solves, selections, packed LU."""
 
 import numpy as np
 import pytest
 
 from eclu import ff, mat
-from eclu.ff import embed_up, extend_field, make_ext_field, make_prime_field
+from eclu.ff import extend_field, make_ext_field, make_prime_field
 from eclu.mat import (DimensionError, Mat, PackedLU, SingularMatrixError, Tri,
-                      multiply, nnz, trsm)
+                      multiply, nnz)
 
 F5 = make_prime_field(5)
 F7 = make_prime_field(7)
@@ -49,38 +49,17 @@ def test_trsm_identity_noop():
     rng = np.random.default_rng(3)
     B = rand_mat(F7, 4, 6, rng)
     orig = B.a.copy()
-    trsm("upper", "left", Tri(Mat.identity(F7, 4), "upper"), B)
+    Tri(Mat.identity(F7, 4), "upper").solve_left(B)
     assert np.array_equal(B.a, orig)
 
 
 def test_trsm_hand_gf7():
     U = Tri(Mat(F7, [[1, 2], [0, 3]]), "upper")
     B = Mat(F7, [[1, 0]])
-    trsm("upper", "right", U, B)
+    U.solve_right(B)
     assert B.a.tolist() == [[1, 4]]
     # check by multiplying back: [[1,4]] . U = [[1,0]] mod 7
     assert multiply(B, U.dense()).a.tolist() == [[1, 0]]
-
-
-@pytest.mark.parametrize("kind,side", [("upper", "right"), ("upper", "left"),
-                                       ("lower", "right"), ("lower", "left")])
-def test_trsm_multiply_back(kind, side):
-    rng = np.random.default_rng(4)
-    for trial in range(50):
-        Ta = FBIG.rand(rng, (33, 33))
-        Ta[np.arange(33), np.arange(33)] = FBIG.rand_nonzero(rng, (33,))
-        T = Tri(Mat(FBIG, Ta), kind)
-        if side == "right":
-            B = rand_mat(FBIG, 10, 33, rng)
-        else:
-            B = rand_mat(FBIG, 33, 10, rng)
-        orig = B.a.copy()
-        trsm(kind, side, T, B)
-        if side == "right":
-            back = FBIG.matmul(B.a, T.dense().a)
-        else:
-            back = FBIG.matmul(T.dense().a, B.a)
-        assert np.array_equal(back, orig)
 
 
 def test_trsm_unit_diagonal():
@@ -89,7 +68,7 @@ def test_trsm_unit_diagonal():
     L = Tri(Mat(F7, La), "lower", unit=True)
     B = rand_mat(F7, 8, 3, rng)
     orig = B.a.copy()
-    trsm("lower", "left", L, B)
+    L.solve_left(B)
     dense = (np.tril(La, -1) + np.eye(8, dtype=np.int64)) % 7
     assert np.array_equal(F7.matmul(dense, B.a), orig)
 
@@ -98,7 +77,7 @@ def test_trsm_singular_rejected():
     T = Tri(Mat(F7, [[1, 2], [0, 0]]), "upper")
     B = Mat(F7, [[1, 0]])
     with pytest.raises(SingularMatrixError):
-        trsm("upper", "right", T, B)
+        T.solve_right(B)
 
 
 def test_nnz_cases():
@@ -117,7 +96,10 @@ def test_tri_cols_and_principal_masking():
     U = Tri(Mat(F7, a), "upper")
     # stored entries below the diagonal must never leak through
     assert U.cols([0, 2]).a.tolist() == [[1, 3], [0, 5], [0, 6]]
-    assert U.principal([1, 2]).a.tolist() == [[4, 5], [0, 6]]
+    # rows J of cols(J) are P^T T P for increasing J
+    assert U.cols([1, 2]).a[[1, 2]].tolist() == [[4, 5], [0, 6]]
+    L = Tri(Mat(F7, a), "lower", unit=True)
+    assert L.cols([0, 2]).a[[0, 2]].tolist() == [[1, 0], [9, 1]]
 
 
 def test_packed_lu_roundtrip():
@@ -255,8 +237,7 @@ def test_tri_store_shared_by_sub_triangles_and_transposes_only():
     assert S._inv is T._inv and S.T._inv is T._inv and S.T._off == 65
     S.solve_right(FBIG.rand(rng, (2, 65)))
     assert set(T._inv) == keys
-    for other in (T.principal([0, 5, 9]), T.with_ctx(FBIG),
-                  Tri(Mat(FBIG, a), "upper")):
+    for other in (T.with_ctx(FBIG), Tri(Mat(FBIG, a), "upper")):
         assert other._inv == {} and other._inv is not T._inv
 
 
@@ -323,7 +304,7 @@ def test_lifted_tri_builds_its_own_inverses():
     T = Tri(Mat(F7, a), "lower")
     T.solve_right(F7.rand(rng, (3, 60)))
     big = extend_field(F7, 7)
-    lifted = T.with_ctx(big, embed_up(F7, big, a))
+    lifted = T.with_ctx(big)  # GF(7) codes are codes of its extensions
     assert lifted._inv == {}
     B = big.rand(rng, (3, 60))
     want = B.copy()

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from eclu.ff import (PowTable, element_of_order_at_least, make_ext_field,
-                     make_prime_field)
+from eclu.ff import (PowTable, element_of_order_at_least, extend_field,
+                     make_ext_field, make_prime_field)
 from eclu.mat import Mat
 from eclu.sparseint import (apply_vandermonde, batch_interpolate,
                             berlekamp_massey, interpolate_column,
@@ -170,6 +170,23 @@ def test_apply_vandermonde_gathers_only_a_partly_live_operand(monkeypatch):
     apply_vandermonde(F13, tab, 6, M)
     assert operands[0] is M
     assert operands[1].shape == (9, 4) and not np.shares_memory(operands[1], M)
+
+
+@pytest.mark.parametrize("base,m", [(make_prime_field(2), 40), (F7, 60),
+                                    (make_ext_field(2, 2), 30)], ids=repr)
+def test_apply_vandermonde_with_theta_in_an_extension_gives_planes(base, m):
+    # M over base, theta from the extension built over it: the result is
+    # over base, the digit planes of V.M
+    big = extend_field(base, m)
+    tab = element_of_order_at_least(big, m)
+    rng = np.random.default_rng(m)
+    M = base.rand(rng, (m, 5))
+    M[::3] = 0
+    V = vandermonde_cols(big, tab, 6, np.arange(m))
+    out = apply_vandermonde(base, tab, 6, M)
+    assert np.array_equal(out, big.planes(big.matmul(V, M)))
+    assert_canonical(base, out)
+    assert np.array_equal(big.pack(out), big.matmul(V, M))
 
 
 # fields of the Vandermonde property tests: primes from GF(7) to the int64

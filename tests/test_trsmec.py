@@ -397,6 +397,38 @@ def ext_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("base", [make_prime_field(2), F7,
+                                  make_ext_field(2, 2)], ids=repr)
+def test_recovery_rounds_multiply_only_over_the_base(base, monkeypatch):
+    # m > q: theta comes from the extension big built over base, and the
+    # recovery rounds interpolate there, but every product of the call is
+    # over base (GF(4) products are ExtField products of base itself)
+    rng = np.random.default_rng(27)
+    m, n = 256, 64
+    R, H, U = make_right_instance(base, m, n, 8, rng)
+    truth = R.a.copy()
+    corrupt(base, R, 6, rng)
+    fields, interpolated = [], []
+    matmul = ff.ExtField.matmul
+
+    def spy_matmul(self, A, B):
+        fields.append(self)
+        return matmul(self, A, B)
+
+    def spy_interpolate(ctx, G, s, tab):
+        interpolated.append(ctx)
+        return batch_interpolate(ctx, G, s, tab)
+
+    monkeypatch.setattr(ff.ExtField, "matmul", spy_matmul)
+    monkeypatch.setattr(trsmec, "batch_interpolate", spy_interpolate)
+    rep = trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=27))
+    big = ff.extend_field(base, m)
+    assert np.array_equal(R.a, truth)
+    assert rep.correcting_rounds >= 1 and not rep.dense_verified
+    assert interpolated and set(interpolated) == {big} and big.base is base
+    assert set(fields) <= {base} and big not in fields
+
+
 def test_gf7_lu_at_a_tenth_wrong_stays_in_the_base_field(ext_calls):
     # n = 128 and k = n^2/10: every strip has m >= 7 rows and goes dense
     # after one projected round, which runs in GF(7) itself
