@@ -616,9 +616,10 @@ def make_ext_field(p, nu):
     return _extension(make_prime_field(p), int(nu))
 
 
-def extension_degree(base, m):
-    """Least d with base.q^d > m: the degree over base of extend_field."""
-    return next(d for d in range(1, m + 2) if base.q ** d > m)
+def extension_degree(q, m):
+    """Least d with q^d > m: the degree of extend_field over a field of q
+    elements."""
+    return next(d for d in range(1, m + 2) if q ** d > m)
 
 
 def extend_field(base, m):
@@ -629,7 +630,7 @@ def extend_field(base, m):
     """
     if m < base.q:
         raise FieldError("no extension needed: m=%d < #F=%d" % (m, base.q))
-    return _extension(base, extension_degree(base, m))
+    return _extension(base, extension_degree(base.q, m))
 
 
 def embed_up(base, big, arr):

@@ -154,9 +154,6 @@ class Tri:
         return self._like(self.ctx, self.a[o:o + n, o:o + n], self.kind,
                           self._inv, self._off + o)
 
-    def with_ctx(self, ctx, a=None):
-        return self._like(ctx, self.a if a is None else a, self.kind, {}, 0)
-
     def check_invertible(self):
         if not self.unit and not self.a.diagonal().all():
             raise SingularMatrixError("zero on the diagonal")

@@ -1,6 +1,16 @@
 """Correction reports: what was fixed, how long it took, how random it was.
 
 A report tree is written as JSON by to_json and read back by from_json.
+
+A correction loop's report also keeps one record per projected pass in
+trace, a dict with keys c (erroneous columns the projection found),
+k_guess and k_done (the error guess and the errors confirmed, after the
+pass updated them), s (terms recovered per column, 0 when the pass
+recovered nothing), tried and failed (columns handed to interpolation and
+those that came back without a value), and ext (whether theta came from
+an extension field); stop says why the loop ended: "clean" (a projection
+found no erroneous column), "dense" (a dense check or solve settled it)
+or "cap" (the round budget ran out, on the MonteCarloFailure's report).
 """
 
 import json
@@ -22,6 +32,8 @@ class CorrectionReport:
     wall_time: float = 0.0         # the whole call, children included
     verified: bool = False         # final Freivalds pass (probabilistic)
     dense_verified: bool = False   # settled by a dense check or solve
+    stop: str = ""                 # "clean", "dense" or "cap"; loops only
+    trace: list = field(default_factory=list)  # one dict per projected pass
     children: list = field(default_factory=list)
 
     def add_child(self, child):

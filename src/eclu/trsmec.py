@@ -3,13 +3,24 @@
 The core loop guesses the number of errors k, locates erroneous columns of
 the candidate solution with a random left projection (a Freivalds-style
 check), recovers up to s = ceil(2(k - k')/c) errors per located column by
-sparse interpolation, and writes the recovered values into the candidate at
-once.  The next round's projection confirms each such column or rolls it
-back.  If fewer than half of the located columns clear in a round, the
-guess k doubles.  The loop ends when a projection finds no erroneous column
-at all, which bounds the failure probability of the final state by the
-requested epsilon, or with one deterministic dense solve when
-`dense_cheaper` finds that cheaper than the round's recovery.
+sparse interpolation, k' being the errors already confirmed, and writes the
+recovered values into the candidate at once.  The next round's projection
+confirms each such column or rolls it back.  If fewer than half of the
+located columns cleared in a round, the guess k doubles.  The guess bounds
+all errors, confirmed ones included, so before each recovery it is also
+raised to at least k' + c plus s for each located column whose recovery
+at s terms failed: each located column still holds an error, and one that
+failed at s terms holds more than s.  So s is at least 2, and a good round
+never leaves the next one asking for too few terms.
+
+The loop ends when a projection finds no erroneous column at all, which
+bounds the failure probability of the final state by the requested
+epsilon, or with one deterministic dense solve once the sparse work spent
+in the call plus its next round would cost more than that solve
+(`dense_cheaper`).  Like renting skis until the rent paid reaches the
+price of buying (Karlin, Manasse, Rudolph, Sleator, "Competitive snoopy
+caching", 1988), this keeps a call within about twice the cost of one
+dense solve, plus one round, whatever the number of errors.
 
 All but the recovery runs in R's own field: projections of lam =
 freivalds_lambda(q, n, eps) rows, residual solves, commits and dense solve.
@@ -34,7 +45,12 @@ from .sparseint import apply_vandermonde, batch_interpolate
 
 
 class MonteCarloFailure(RuntimeError):
-    """Raised when the correction loop exceeds its iteration budget."""
+    """Raised when the correction loop exceeds its iteration budget; report
+    is that loop's report, stopped at "cap"."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class TrsmEcParams:
@@ -78,35 +94,93 @@ def freivalds_lambda(q, n, eps):
     return max(1, math.ceil(math.log(target) / math.log(q)))
 
 
-# Scalar work of one bad column in a recovery round (Berlekamp-Massey, the
-# locator sweep, the value solve and the re-check), in dense multiply-adds.
-_COLUMN_COST = 2 ** 14
+# Prices of the dense-or-sparse decision, in multiply-adds of a dense
+# product of at most 32 rows; their calibration is in dense_cheaper.
+_PASS = 2 ** 13  # fixed price of a projected pass, above a dense solve's
+_COLUMN = 5000   # per column interpolated, plus per term:
+_TERM2 = 750     # per s^2 (Berlekamp-Massey, value solve, re-check)
+_SCAN = 8        # per m s (root scan)
+_EXT = 5         # factor on the terms when theta lies in an extension
 
 
-def dense_cheaper(q, eps, m, n, ell, c=None, k_left=0):
+def dense_price(m, n, ell):
+    """Price of one dense solve of R T = H (see dense_cheaper)."""
+    work = m * n * (ell + n)
+    return min(work, 32 * work ** (2 / 3))
+
+
+def sparse_price(q, eps, m, n, ell, c=None, s=0):
+    """Price of the sparse path's next step: one projected pass, and with
+    c > 0 bad columns the recovery round at s terms before it (see
+    dense_cheaper)."""
+    lam = freivalds_lambda(q, n, eps)
+    price = (2 * m * n + n * n + ell * (m + n)) * (16 + lam) / 32 + _PASS
+    if c:
+        nu = ff.extension_degree(q, m)
+        terms = (_TERM2 * s * s + _SCAN * m * s) * (_EXT if nu > 1 else 1)
+        price += ((m * (n + ell) + c * (m + n + ell + c)) * (16 + 2 * s * nu)
+                  / 32 + c * (_COLUMN + terms))
+    return price
+
+
+def dense_cheaper(q, eps, m, n, ell, c=None, s=0, spent=0):
     """Whether one dense solve of R T = H costs no more than the sparse path.
 
-    R is m-by-n, T is n-by-n and H has inner dimension ell; costs count
-    multiply-adds.  The dense path evaluates H and solves against T:
-    m n (ell + n).  Without a column count the sparse side is one projection
-    round with lam = freivalds_lambda(q, n, eps) rows, lam (mn + n^2 +
-    ell (m + n)).  With c > 0 bad columns and k_left errors still expected,
-    it adds that round's recovery: the Vandermonde projection and residual,
-    2s (mn + m ell + c (ell + n)) with s = ceil(2 max(k_left, c) / c), and
-    c times _COLUMN_COST for the scalar per-column work.
+    R is m-by-n, T is n-by-n and H has inner dimension ell.  Without a
+    column count (the loop's entry) the sparse path is one projected pass
+    of lam = freivalds_lambda(q, n, eps) rows, and the test counts
+    multiply-adds on both sides: the dense path's m n (ell + n), evaluating
+    H and solving against T, against the pass's lam (mn + n^2 + ell (m + n)).
+    With c > 0 bad columns it compares dense_price with the sparse work
+    spent in the call so far plus sparse_price of the next step: the
+    recovery round at s terms and the pass after it.  The loop adds
+    sparse_price of every step it takes to spent, so it turns dense once
+    the sparse path has cost about as much as the dense solve.
 
-    _COLUMN_COST = 2^14 comes from a one-thread microbenchmark (OpenBLAS
-    0.3.31, numpy 2.4.6): recovering one column with s = 2 took 60-140 us
-    at GF(65537), GF(2^31 - 1) and GF(7^3), and the dense path took 2-7 ns
-    per multiply-add at m = n = ell = 32..64, the strip sizes at which the
-    switch happens on small fields (0.2-0.8 ns at 128 and above); their
-    ratio spans 2^13 to 2^16.
+    Prices are in multiply-adds of a dense product of at most 32 rows, the
+    unit of the entry test.  dense_price discounts the work by
+    32 / work^(1/3) once that is below 1.  A pass reads
+    2mn + n^2 + ell (m + n) operand entries at (16 + lam) / 32 each, plus
+    _PASS.  A recovery round reads m (n + ell) + c (m + n + ell + c) entries
+    in products of 2 s nu rows, nu the degree of theta's field, at
+    (16 + 2 s nu) / 32 each, and interpolates c columns at
+    _COLUMN + _TERM2 s^2 + _SCAN m s each, the terms times _EXT when theta
+    lies in an extension.
+
+    Calibration, one thread, OpenBLAS 0.3.31, numpy 2.4.6, each part timed
+    alone; the unit is about 4 ns, the price of a multiply-add of a dense
+    solve at n = 32..64 with the triangle's block inverses still to build.
+    Dense solves cost 3-20 ns per multiply-add at n = 16, 0.8-5 at 32,
+    0.4-1.5 at 64, 0.2-0.3 at 256 and 0.09-0.11 at 1024, the higher figure
+    with the inverses to build: 4-50 times less at 1024 than at 32-64.  A
+    product of r rows cost about 2 + 0.12 r ns per entry it read, from 2 to
+    64 rows and n = 256..1024, and a pass about 30 us more than a dense
+    solve at n <= 64.  An interpolated column cost
+    20 us + 3 us s^2 + 30 ns m s at GF(65537), m = 256..1024, s = 2..64,
+    and about five times the terms at GF(7^4) and GF(2^9); a column that
+    fails costs a third to a half of one that recovers.  Summed per round,
+    these prices matched measured rounds of trsm_ec_upper_right at n = 1024
+    to within 10-30%.
     """
-    sparse = freivalds_lambda(q, n, eps) * (m * n + n * n + ell * (m + n))
-    if c is not None:
-        s = -(-2 * max(k_left, c) // c)
-        sparse += 2 * s * (m * n + m * ell + c * (ell + n)) + c * _COLUMN_COST
-    return m * n * (ell + n) <= sparse
+    if c is None:
+        lam = freivalds_lambda(q, n, eps)
+        return m * n * (ell + n) <= lam * (m * n + n * n + ell * (m + n))
+    return (dense_price(m, n, ell)
+            <= spent + sparse_price(q, eps, m, n, ell, c, s))
+
+
+@functools.lru_cache(maxsize=64)
+def _power_table(ctx, m):
+    """The powers of theta over ctx for m rows, built once per (ctx, m).
+
+    Building them is a Python loop of up to m products per candidate
+    theta, about 4 ms at GF(7^4) and m = 512 on one thread of the machine
+    of dense_cheaper's calibration: a fifth of a trsm call at n = 512 that
+    corrects 16 errors.
+    """
+    tab = ff.element_of_order_at_least(ctx, m)
+    tab.powers.flags.writeable = False  # shared by every call
+    return tab
 
 
 def iteration_cap(m, n):
@@ -165,7 +239,7 @@ def _trsm_ec_right(R, H, T, params, stage):
     # the candidate is reduced in place, the inputs through reduced copies
     R.ctx.canonical(R.a, in_place=True)
     H = H.canonical()
-    T = T.with_ctx(T.ctx, R.ctx.canonical(T.a))
+    T = Tri(Mat(R.ctx, R.ctx.canonical(T.a)), T.kind, T.unit)
     if m and n:
         T.check_invertible()
     rep = _correction_loop(R, H, T, params, stage)
@@ -187,8 +261,10 @@ def _correction_loop(R, H, T, params, stage):
         rep.wall_time = time.perf_counter() - t0
         return rep
 
-    base, ell = R.ctx, H.inner
-    if dense_cheaper(base.q, params.eps, m, n, ell):
+    base, ell, eps = R.ctx, H.inner, params.eps
+    rep.extended = m >= base.q  # theta's field, built on first recovery
+    rep.ext_degree = ff.extension_degree(base.q, m)
+    if dense_cheaper(base.q, eps, m, n, ell):
         # narrow system: evaluating H densely and checking R T = H costs no
         # more than one projection round, so correct deterministically
         rep.rounds = 1
@@ -197,16 +273,16 @@ def _correction_loop(R, H, T, params, stage):
         return rep
 
     rng = params.generator()
-    lam = freivalds_lambda(base.q, n, params.eps)
+    lam = freivalds_lambda(base.q, n, eps)
     rep.lam = lam
     cap = iteration_cap(m, n)
-    rep.extended = m >= base.q  # theta's field, built on first recovery
-    rep.ext_degree = ff.extension_degree(base, m)
     tab = None
 
     k_guess = 1
     k_done = 0
     c_prev = 2 * n
+    tried, s = np.empty(0, dtype=np.intp), 0  # columns and terms last tried
+    spent = sparse_price(base.q, eps, m, n, ell)  # the first pass
     undo = {}  # col -> (rows, previous values) of unconfirmed corrections
 
     while True:
@@ -214,9 +290,10 @@ def _correction_loop(R, H, T, params, stage):
         if rep.rounds > cap:
             for j, (ri, old) in undo.items():
                 R.a[ri, j] = old  # R keeps only confirmed corrections
+            rep.stop = "cap"
             raise MonteCarloFailure(
                 "correction did not converge within %d rounds "
-                "(failure bound %g)" % (cap, params.eps))
+                "(failure bound %g)" % (cap, eps), rep)
         W = base.rand(rng, (lam, m))
         # D = W H - W R T; zero iff no erroneous column remains (T is
         # invertible), found without the triangular solve
@@ -238,24 +315,37 @@ def _correction_loop(R, H, T, params, stage):
             rep.positions.extend((int(r), int(j)) for r in ri)
         undo = {}
         if c > c_prev / 2:
-            k_guess = max(2 * k_guess, c)  # too many bad columns: k was wrong
+            k_guess *= 2  # too many bad columns remain: k was too small
         c_prev = c
+        # k_guess bounds all errors, the confirmed ones included: each bad
+        # column still holds one, and one that the last recovery tried at s
+        # terms holds more than s
+        again = np.intersect1d(bad, tried, assume_unique=True).size
+        k_guess = max(k_guess, k_done + c + s * again)
+        tried = bad
+        step = dict(c=c, k_guess=k_guess, k_done=k_done, s=0, tried=0,
+                    failed=0, ext=False)
+        rep.trace.append(step)
         if c == 0:
             break
-        if dense_cheaper(base.q, params.eps, m, n, ell, c, k_guess - k_done):
+        s = min(m, math.ceil(2 * (k_guess - k_done) / c))
+        if dense_cheaper(base.q, eps, m, n, ell, c, s, spent):
             _dense_solve(R, H, T, rep)
             rep.wall_time = time.perf_counter() - t0
             return rep
+        spent += sparse_price(base.q, eps, m, n, ell, c, s)
         rep.correcting_rounds += 1
         if tab is None:
             big = ff.extend_field(base, m) if rep.extended else base
-            tab = ff.element_of_order_at_least(big, m, rng=rng)
-        s = min(m, max(1, math.ceil(2 * (k_guess - k_done) / c)))
-        for j, (ri, rv) in _recover(base, tab, s, H, R, T, bad).items():
+            tab = _power_table(big, m)
+        fixed = _recover(base, tab, s, H, R, T, bad)
+        step.update(s=s, tried=c, failed=c - len(fixed), ext=rep.extended)
+        for j, (ri, rv) in fixed.items():
             undo[j] = (ri, R.a[ri, j])
             R.a[ri, j] = base.add(R.a[ri, j], rv)
 
     rep.verified = True  # the loop exits on a clean Freivalds projection
+    rep.stop = "clean"
     rep.corrected = k_done
     rep.wall_time = time.perf_counter() - t0
     return rep
@@ -272,6 +362,7 @@ def _dense_solve(R, H, T, rep, check=False):
     X = H.dense().a
     rep.verified = True
     rep.dense_verified = True
+    rep.stop = "dense"
     if check and np.array_equal(T.mul_right(R.a), X):
         return
     T.solve_right(X)

@@ -10,10 +10,11 @@ from eclu.blackbox import BlackboxRHS
 from eclu.croutec import crout_ec, make_grp_instance
 from eclu.ff import make_ext_field, make_prime_field
 from eclu.mat import Mat, PackedLU, Tri, multiply
+from eclu.report import CorrectionReport
 from eclu.syssolve import tr_inv_ec
 from eclu.sparseint import batch_interpolate
 from eclu.trsmec import (TrsmEcParams, _projected_gap, dense_cheaper,
-                         freivalds_lambda, trsm_ec_lower_left,
+                         freivalds_lambda, sparse_price, trsm_ec_lower_left,
                          trsm_ec_lower_right, trsm_ec_upper_left,
                          trsm_ec_upper_right)
 
@@ -213,9 +214,85 @@ def test_failure_keeps_only_confirmed_corrections(monkeypatch):
     R, H, U = make_right_instance(FBIG, 128, 128, 4, rng)
     corrupt(FBIG, R, 8, rng)
     before = R.a.copy()
-    with pytest.raises(trsmec.MonteCarloFailure):
+    with pytest.raises(trsmec.MonteCarloFailure) as err:
         trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=1))
     assert np.array_equal(R.a, before)
+    assert err.value.report.stop == "cap" and len(err.value.report.trace) == 1
+
+
+def dense_rhs_instance(ctx, n, rng):
+    """(R, H, U, truth): R = truth an n-by-n solution of R.U = C, C dense."""
+    U = rand_tri(ctx, n, "upper", rng)
+    truth = ctx.rand(rng, (n, n))
+    C = Mat(ctx, ctx.matmul(truth, U.dense().a))
+    return Mat(ctx, truth.copy()), BlackboxRHS(C=C), U, truth
+
+
+@pytest.mark.parametrize("p, n", [(7, 512), (65537, 256), (2, 256)])
+def test_errors_already_fixed_count_in_the_guess(p, n):
+    # 14 columns with one error and a 15th with two: the first round finds
+    # 15 bad columns, so k >= 15 and s = 2 recovers all of them.  A guess
+    # that leaves out the errors already fixed keeps s at 1 while it
+    # doubles, 6 correcting rounds here
+    ctx = make_prime_field(p)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        R, H, U, truth = dense_rhs_instance(ctx, n, rng)
+        for t, j in enumerate(rng.choice(n, 15, replace=False)):
+            rows = rng.choice(n, 2 if t == 14 else 1, replace=False)
+            R.a[rows, j] = ctx.add(R.a[rows, j],
+                                   ctx.rand_nonzero(rng, (len(rows),)))
+        rep = trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=seed))
+        assert np.array_equal(R.a, truth) and rep.stop == "clean"
+        assert rep.correcting_rounds <= 3
+        assert rep.trace[0]["c"] == 15 and rep.trace[0]["s"] >= 2
+
+
+@pytest.mark.parametrize("p, n", [(65537, 256), (7, 256), (2, 128)])
+def test_dense_errors_spend_at_most_one_recovery_round(p, n, monkeypatch):
+    # k = n^2 / 10 wrong entries: every column is bad and holds about n / 10
+    # errors.  The loop may try one recovery round before its sparse spend
+    # would pass the price of the dense solve; doubling s until the columns
+    # recover hands about 6 n of them to interpolation
+    ctx = make_prime_field(p)
+    handed = []
+
+    def spy(ctx, G, s, tab):
+        handed.append(G.shape[1])
+        return batch_interpolate(ctx, G, s, tab)
+
+    monkeypatch.setattr(trsmec, "batch_interpolate", spy)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        R, H, U, truth = dense_rhs_instance(ctx, n, rng)
+        corrupt(ctx, R, n * n // 10, rng)
+        handed.clear()
+        rep = trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=seed))
+        assert np.array_equal(R.a, truth) and rep.stop == "dense"
+        assert sum(handed) <= n and len(rep.trace) <= 2
+        assert sum(step["tried"] for step in rep.trace) == sum(handed)
+
+
+@pytest.mark.parametrize("ctx, k", [(FBIG, 60), (F7, 12)], ids=repr)
+def test_round_trace_records_every_pass(ctx, k):
+    # one record per projected pass: the last one is clean, each recovery
+    # tries every bad column, theta comes from GF(7^3) over GF(7), and the
+    # trace round-trips through JSON
+    rng = np.random.default_rng(15)
+    R, H, U = make_right_instance(ctx, 300, 256, 8, rng)
+    truth = R.a.copy()
+    corrupt(ctx, R, k, rng)
+    rep = trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=3))
+    assert np.array_equal(R.a, truth)
+    assert rep.stop == "clean" and len(rep.trace) == rep.rounds
+    assert rep.trace[-1]["c"] == 0 and rep.trace[-1]["k_done"] == k
+    recovering = [step for step in rep.trace if step["tried"]]
+    assert len(recovering) == rep.correcting_rounds >= 1
+    for step in recovering:
+        assert step["tried"] == step["c"] and step["s"] >= 2
+        assert step["ext"] == (ctx is F7) and 0 <= step["failed"] < step["c"]
+        assert step["k_guess"] >= step["k_done"] + step["c"]
+    assert CorrectionReport.from_json(rep.to_json()) == rep
 
 
 def test_result_satisfies_equation_densely():
@@ -333,30 +410,33 @@ def test_dense_cheaper_without_columns_is_the_narrow_system_test():
             assert dense_cheaper(q, eps, m, n, ell) == old
 
 
-def test_dense_cheaper_monotone_in_columns_and_errors_left():
-    # once c reaches k_left, s no longer depends on the guess and each extra
-    # bad column only adds sparse work; more errors left never favour sparse
+def test_dense_cheaper_monotone_in_columns_terms_and_spend():
+    # more bad columns, more terms per column or more sparse work already
+    # spent never favour the sparse path; any bad column adds recovery work
+    # to the price of a pass
     for q, eps in ((343, 0.0125), (65537, 0.05)):
         for m, n, ell in _SHAPES:
-            for k_left in (0, 1, 8, 100):
-                seq = [dense_cheaper(q, eps, m, n, ell, c, k_left)
-                       for c in range(max(k_left, 1), n + 1)]
+            for s in (1, 2, 8, 64):
+                seq = [dense_cheaper(q, eps, m, n, ell, c, s)
+                       for c in range(1, n + 1)]
                 assert seq == sorted(seq)
             for c in (1, 5, n):
-                seq = [dense_cheaper(q, eps, m, n, ell, c, k_left)
-                       for k_left in range(0, 4 * n * m + 1, max(1, n))]
+                seq = [dense_cheaper(q, eps, m, n, ell, c, s)
+                       for s in range(1, m + 1)]
                 assert seq == sorted(seq)
-            # any bad column adds recovery work to the one-round cost
-            if dense_cheaper(q, eps, m, n, ell):
-                assert dense_cheaper(q, eps, m, n, ell, 1, 0)
+                seq = [dense_cheaper(q, eps, m, n, ell, c, 2, spent)
+                       for spent in (0, 10 ** 3, 10 ** 6, 10 ** 9)]
+                assert seq == sorted(seq)
+            assert (sparse_price(q, eps, m, n, ell, 1, 1)
+                    > sparse_price(q, eps, m, n, ell))
 
 
 def test_dense_cheaper_never_asked_about_a_clean_round(monkeypatch):
     calls = []
 
-    def spy(q, eps, m, n, ell, c=None, k_left=0):
+    def spy(q, eps, m, n, ell, c=None, s=0, spent=0):
         calls.append(c)
-        return dense_cheaper(q, eps, m, n, ell, c, k_left)
+        return dense_cheaper(q, eps, m, n, ell, c, s, spent)
 
     monkeypatch.setattr(trsmec, "dense_cheaper", spy)
     rng = np.random.default_rng(21)
@@ -462,10 +542,12 @@ def test_value_outside_the_base_field_fails_its_column(monkeypatch):
     # recovery over GF(2) with m = 200 runs in GF(2^8).  One recovered value
     # v becomes x + v, outside GF(2) but equal to v mod 2, so only the
     # coercion can reject it: the column must not be committed, so a later
-    # round recovers it again, and the call must still end exact
+    # round recovers it again, and the call must still end exact.  The
+    # rejected column counts as holding more than s errors, so that round
+    # runs at a larger s; n = 512 keeps it cheaper than a dense solve
     rng = np.random.default_rng(26)
     F2 = make_prime_field(2)
-    R, H, U = make_right_instance(F2, 200, 128, 4, rng)
+    R, H, U = make_right_instance(F2, 200, 512, 4, rng)
     truth = R.a.copy()
     corrupt(F2, R, 6, rng)
     wrong = set(zip(*(x.tolist() for x in np.nonzero(R.a != truth))))
