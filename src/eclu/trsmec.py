@@ -94,90 +94,94 @@ def freivalds_lambda(q, n, eps):
     return max(1, math.ceil(math.log(target) / math.log(q)))
 
 
-# Prices of the dense-or-sparse decision, in multiply-adds of a dense
-# product of at most 32 rows; their calibration is in dense_cheaper.
-_PASS = 2 ** 13  # fixed price of a projected pass, above a dense solve's
-_COLUMN = 5000   # per column interpolated, plus per term:
-_TERM2 = 750     # per s^2 (Berlekamp-Massey, value solve, re-check)
-_SCAN = 8        # per m s (root scan)
-_EXT = 5         # factor on the terms when theta lies in an extension
+# Prices of the dense-or-sparse decision, in units of about 4 ns; their
+# calibration is in dense_cheaper.
+_CALL = 2 ** 13   # fixed price of a dense solve or a projected pass
+_ROUND = 2 ** 15  # fixed price of a recovery round
+_COLUMN = 5000    # per column interpolated, plus per term:
+_TERM2 = 750      # per s^2 (Berlekamp-Massey, value solve, re-check)
+_SCAN = 8         # per m s (root scan)
+_EXT = 5          # factor on the terms when theta lies in an extension
 
 
 def dense_price(m, n, ell):
     """Price of one dense solve of R T = H (see dense_cheaper)."""
     work = m * n * (ell + n)
-    return min(work, 32 * work ** (2 / 3))
+    return _CALL + min(work / 10, 32 * work ** (2 / 3))
 
 
-def sparse_price(q, eps, m, n, ell, c=None, s=0):
+def sparse_price(q, eps, m, n, ell, c=0, s=0):
     """Price of the sparse path's next step: one projected pass, and with
     c > 0 bad columns the recovery round at s terms before it (see
     dense_cheaper)."""
     lam = freivalds_lambda(q, n, eps)
-    price = (2 * m * n + n * n + ell * (m + n)) * (16 + lam) / 32 + _PASS
+    price = (2 * m * n + n * n + ell * (m + n)) * (16 + lam) / 32 + _CALL
     if c:
         nu = ff.extension_degree(q, m)
         terms = (_TERM2 * s * s + _SCAN * m * s) * (_EXT if nu > 1 else 1)
         price += ((m * (n + ell) + c * (m + n + ell + c)) * (16 + 2 * s * nu)
-                  / 32 + c * (_COLUMN + terms))
+                  / 32 + _ROUND + c * (_COLUMN + terms))
     return price
 
 
-def dense_cheaper(q, eps, m, n, ell, c=None, s=0, spent=0):
+def dense_cheaper(q, eps, m, n, ell, c=0, s=0, spent=0):
     """Whether one dense solve of R T = H costs no more than the sparse path.
 
-    R is m-by-n, T is n-by-n and H has inner dimension ell.  Without a
-    column count (the loop's entry) the sparse path is one projected pass
-    of lam = freivalds_lambda(q, n, eps) rows, and the test counts
-    multiply-adds on both sides: the dense path's m n (ell + n), evaluating
-    H and solving against T, against the pass's lam (mn + n^2 + ell (m + n)).
-    With c > 0 bad columns it compares dense_price with the sparse work
-    spent in the call so far plus sparse_price of the next step: the
-    recovery round at s terms and the pass after it.  The loop adds
-    sparse_price of every step it takes to spent, so it turns dense once
-    the sparse path has cost about as much as the dense solve.
+    R is m-by-n, T is n-by-n and H has inner dimension ell.  The test
+    compares dense_price with the sparse work spent in the call so far
+    plus sparse_price of the next step: at the loop's entry (spent = 0,
+    c = 0) one projected pass, later the recovery round for c bad columns
+    at s terms and the pass after it.  The loop adds sparse_price of every
+    step it takes to spent, so it turns dense once the sparse path has
+    cost about as much as the dense solve.
 
-    Prices are in multiply-adds of a dense product of at most 32 rows, the
-    unit of the entry test.  dense_price discounts the work by
-    32 / work^(1/3) once that is below 1.  A pass reads
-    2mn + n^2 + ell (m + n) operand entries at (16 + lam) / 32 each, plus
-    _PASS.  A recovery round reads m (n + ell) + c (m + n + ell + c) entries
-    in products of 2 s nu rows, nu the degree of theta's field, at
-    (16 + 2 s nu) / 32 each, and interpolates c columns at
-    _COLUMN + _TERM2 s^2 + _SCAN m s each, the terms times _EXT when theta
-    lies in an extension.
+    Prices are in units of about 4 ns.  Both paths pay _CALL for each
+    dense solve or pass.  dense_price adds the dense path's
+    work = m n (ell + n) multiply-adds, evaluating H and solving against
+    T, at 1/10 unit each, or 32 / work^(1/3) once that is less.  A pass
+    reads 2mn + n^2 + ell (m + n) operand entries at (16 + lam) / 32 each,
+    lam = freivalds_lambda(q, n, eps).  A recovery round pays _ROUND,
+    reads m (n + ell) + c (m + n + ell + c) entries in products of 2 s nu
+    rows, nu the degree of theta's field, at (16 + 2 s nu) / 32 each, and
+    interpolates c columns at _COLUMN + _TERM2 s^2 + _SCAN m s each, the
+    terms times _EXT when theta lies in an extension.
 
     Calibration, one thread, OpenBLAS 0.3.31, numpy 2.4.6, each part timed
-    alone; the unit is about 4 ns, the price of a multiply-add of a dense
-    solve at n = 32..64 with the triangle's block inverses still to build.
-    Dense solves cost 3-20 ns per multiply-add at n = 16, 0.8-5 at 32,
-    0.4-1.5 at 64, 0.2-0.3 at 256 and 0.09-0.11 at 1024, the higher figure
-    with the inverses to build: 4-50 times less at 1024 than at 32-64.  A
-    product of r rows cost about 2 + 0.12 r ns per entry it read, from 2 to
-    64 rows and n = 256..1024, and a pass about 30 us more than a dense
-    solve at n <= 64.  An interpolated column cost
+    alone at GF(65537) and GF(7), n = 16..1024, m = n..2n, ell = 0..n.  A
+    dense solve, with the triangle's block inverses built (the projected
+    path builds them too once it solves), cost about 30 us plus 0.3-0.5 ns
+    per multiply-add up to work = 2^25, then 0.15-0.25 ns at n = 512 and
+    0.09-0.11 ns at n = 1024.  A product of r rows cost about
+    2 + 0.12 r ns per entry it read, from 2 to 64 rows and n = 256..1024,
+    and a pass about 30 us more.  An interpolated column cost
     20 us + 3 us s^2 + 30 ns m s at GF(65537), m = 256..1024, s = 2..64,
     and about five times the terms at GF(7^4) and GF(2^9); a column that
-    fails costs a third to a half of one that recovers.  Summed per round,
-    these prices matched measured rounds of trsm_ec_upper_right at n = 1024
-    to within 10-30%.
+    fails costs a third to a half of one that recovers.  A recovery round
+    of one column cost 70-150 us more than these parts at GF(65537),
+    m = 16..128, and 85-300 us more at GF(7^2) and GF(7^3), in calls on
+    small arrays.  Summed per round, these prices matched measured rounds
+    of trsm_ec_upper_right at n = 1024 to within 10-30%.
     """
-    if c is None:
-        lam = freivalds_lambda(q, n, eps)
-        return m * n * (ell + n) <= lam * (m * n + n * n + ell * (m + n))
     return (dense_price(m, n, ell)
             <= spent + sparse_price(q, eps, m, n, ell, c, s))
 
 
-@functools.lru_cache(maxsize=64)
 def _power_table(ctx, m):
     """The powers of theta over ctx for m rows, built once per (ctx, m).
 
     Building them is a Python loop of up to m products per candidate
     theta, about 4 ms at GF(7^4) and m = 512 on one thread of the machine
     of dense_cheaper's calibration: a fifth of a trsm call at n = 512 that
-    corrects 16 errors.
+    corrects 16 errors.  Tables are looked up by the field object, not by
+    field equality: _recover and apply_vandermonde tell theta's field from
+    R's by identity, and equal fields may still differ in their modulus.
     """
+    return _power_table_of(id(ctx), ctx, m)
+
+
+@functools.lru_cache(maxsize=64)
+def _power_table_of(ident, ctx, m):
+    # the cache holds ctx, so no other field takes its id while cached
     tab = ff.element_of_order_at_least(ctx, m)
     tab.powers.flags.writeable = False  # shared by every call
     return tab
@@ -262,8 +266,6 @@ def _correction_loop(R, H, T, params, stage):
         return rep
 
     base, ell, eps = R.ctx, H.inner, params.eps
-    rep.extended = m >= base.q  # theta's field, built on first recovery
-    rep.ext_degree = ff.extension_degree(base.q, m)
     if dense_cheaper(base.q, eps, m, n, ell):
         # narrow system: evaluating H densely and checking R T = H costs no
         # more than one projection round, so correct deterministically
@@ -276,6 +278,8 @@ def _correction_loop(R, H, T, params, stage):
     lam = freivalds_lambda(base.q, n, eps)
     rep.lam = lam
     cap = iteration_cap(m, n)
+    rep.extended = m >= base.q  # theta's field, built on first recovery
+    rep.ext_degree = ff.extension_degree(base.q, m)
     tab = None
 
     k_guess = 1
@@ -320,7 +324,7 @@ def _correction_loop(R, H, T, params, stage):
         # k_guess bounds all errors, the confirmed ones included: each bad
         # column still holds one, and one that the last recovery tried at s
         # terms holds more than s
-        again = np.intersect1d(bad, tried, assume_unique=True).size
+        again = np.intersect1d(bad, tried, assume_unique=True).size if s else 0
         k_guess = max(k_guess, k_done + c + s * again)
         tried = bad
         step = dict(c=c, k_guess=k_guess, k_done=k_done, s=0, tried=0,

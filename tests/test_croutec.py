@@ -436,8 +436,11 @@ def test_croutec_report_leaves_named_and_timed():
     assert leaf.stage == "freivalds_lu" and leaf.verified
     assert leaf.wall_time > 0 and leaf.lam > 0
     # one error in each root strip and one in the first diagonal block:
-    # each leaf is a dense block check, a projection check of a U strip or
-    # an L strip, or a node check, and each one reports its own time
+    # each leaf is a dense block check, a correction loop on a U strip or
+    # an L strip, or a node check, and each one reports its own time.  The
+    # first node's clean strips pass their projection; each root strip's
+    # projection finds its one bad column, which the loop then settles by a
+    # dense solve, priced below a recovery round at 32 columns
     A, L0, U0 = make_grp_instance(FBIG, 64, rng)
     P = PackedLU.pack(L0.copy(), U0.copy())
     for i, j in ((3, 3), (2, 40), (40, 2)):
@@ -447,13 +450,15 @@ def test_croutec_report_leaves_named_and_timed():
     leaves = list(rep.iter_leaves())
     assert all(leaf.wall_time > 0 for leaf in leaves)
     assert {leaf.stage for leaf in leaves if leaf.dense_verified} == {
-        "dense_block"}
+        "dense_block", "trsmec_lower_left", "trsmec_upper_right"}
     assert {leaf.stage for leaf in leaves if not leaf.dense_verified} == {
         "trsmec_lower_left", "trsmec_upper_right", "freivalds_lu"}
-    assert [(leaf.stage, leaf.positions) for leaf in leaves
-            if leaf.positions] == [("dense_block", [(3, 3)]),
-                                   ("trsmec_lower_left", [(2, 40)]),
-                                   ("trsmec_upper_right", [(40, 2)])]
+    assert [(leaf.stage, leaf.positions, leaf.stop,
+             [step["c"] for step in leaf.trace])
+            for leaf in leaves if leaf.positions] == [
+                ("dense_block", [(3, 3)], "", []),
+                ("trsmec_lower_left", [(2, 40)], "dense", [1]),
+                ("trsmec_upper_right", [(40, 2)], "dense", [1])]
     # an error on U's diagonal is recomputed with its diagonal block, which
     # alone reports it
     A, L0, U0 = make_grp_instance(FBIG, 32, rng)

@@ -1,5 +1,6 @@
 """Error-correcting triangular solves, all four variants."""
 
+import copy
 import math
 
 import numpy as np
@@ -14,9 +15,9 @@ from eclu.report import CorrectionReport
 from eclu.syssolve import tr_inv_ec
 from eclu.sparseint import batch_interpolate
 from eclu.trsmec import (TrsmEcParams, _projected_gap, dense_cheaper,
-                         freivalds_lambda, sparse_price, trsm_ec_lower_left,
-                         trsm_ec_lower_right, trsm_ec_upper_left,
-                         trsm_ec_upper_right)
+                         dense_price, freivalds_lambda, sparse_price,
+                         trsm_ec_lower_left, trsm_ec_lower_right,
+                         trsm_ec_upper_left, trsm_ec_upper_right)
 
 F7 = make_prime_field(7)
 FBIG = make_prime_field(65537)
@@ -176,7 +177,7 @@ def test_extension_field_recovery_round_gf2(monkeypatch):
     # loop ends on a clean projection, with no dense solve
     rng = np.random.default_rng(21)
     F2 = make_prime_field(2)
-    m, n = 256, 64
+    m, n = 256, 128
     R, H, U = make_right_instance(F2, m, n, 8, rng)
     truth = R.a.copy()
     for j in rng.choice(n, 3, replace=False):
@@ -295,6 +296,25 @@ def test_round_trace_records_every_pass(ctx, k):
     assert CorrectionReport.from_json(rep.to_json()) == rep
 
 
+@pytest.mark.parametrize("make", [
+    lambda: make_prime_field(65537), lambda: ff.PrimeField(65537),
+    lambda: make_ext_field(7, 3), lambda: ff.ExtField(F7, 3)],
+    ids=["65537", "65537-new", "343", "343-new"])
+def test_equal_fields_recover_with_their_own_power_tables(make):
+    # two equal but distinct field objects, each large enough to hold
+    # theta: the second recovery must not take the first one's table
+    for copy_field in (lambda F: F, copy.deepcopy):
+        ctx = copy_field(make())
+        rng = np.random.default_rng(16)
+        R, H, U = make_right_instance(ctx, 200, 128, 8, rng)
+        truth = R.a.copy()
+        corrupt(ctx, R, 12, rng)
+        rep = trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=4))
+        assert np.array_equal(R.a, truth)
+        assert rep.stop == "clean" and rep.correcting_rounds >= 1
+        assert not rep.extended
+
+
 def test_result_satisfies_equation_densely():
     rng = np.random.default_rng(10)
     for trial in range(10):
@@ -363,7 +383,7 @@ def test_variant_reports_its_own_stage_name(variant, kind, left, k):
     # the left variants run on R^T but report each wrong entry once, as
     # (row, column) of R, after projected rounds (k = 3) or a dense solve
     rng = np.random.default_rng(13 + k)
-    R, H, T = make_right_instance(FBIG, 80, 48, 8, rng, kind=kind)
+    R, H, T = make_right_instance(FBIG, 160, 128, 8, rng, kind=kind)
     if left:
         R, H, T = R.T, H.T, T.T
     truth = R.a.copy()
@@ -401,13 +421,22 @@ _SHAPES = [(m, n, ell) for m in (1, 3, 8, 32, 100, 512)
 
 
 def test_dense_cheaper_without_columns_is_the_narrow_system_test():
-    # the one-round comparison that selected the narrow-system branch
+    # the loop's entry test is the in-loop test with nothing spent and no
+    # bad column: the dense solve priced against one projected pass.  A
+    # system dense at entry stays dense with any bad column; square systems
+    # of 8 columns go dense, those of 32 are projected
     for q, eps in ((2, 0.05), (7, 0.0125), (343, 0.25), (65537, 2.0 ** -20),
                    (2 ** 31 - 1, 0.05)):
         for m, n, ell in _SHAPES:
-            lam = freivalds_lambda(q, n, eps)
-            old = m * n * (ell + n) <= lam * (m * n + n * n + ell * (m + n))
-            assert dense_cheaper(q, eps, m, n, ell) == old
+            entry = dense_cheaper(q, eps, m, n, ell)
+            assert entry == (dense_price(m, n, ell)
+                             <= sparse_price(q, eps, m, n, ell))
+            if entry:
+                assert dense_cheaper(q, eps, m, n, ell, 1, 1)
+        assert dense_cheaper(q, eps, 1, 1, 0)
+        assert dense_cheaper(q, eps, 8, 8, 0)
+        assert not dense_cheaper(q, eps, 32, 32, 0)
+        assert not dense_cheaper(q, eps, 512, 1024, 300)
 
 
 def test_dense_cheaper_monotone_in_columns_terms_and_spend():
@@ -484,7 +513,7 @@ def test_recovery_rounds_multiply_only_over_the_base(base, monkeypatch):
     # recovery rounds interpolate there, but every product of the call is
     # over base (GF(4) products are ExtField products of base itself)
     rng = np.random.default_rng(27)
-    m, n = 256, 64
+    m, n = 256, 256
     R, H, U = make_right_instance(base, m, n, 8, rng)
     truth = R.a.copy()
     corrupt(base, R, 6, rng)
