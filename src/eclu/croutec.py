@@ -253,17 +253,17 @@ def rank_deficient_ec(A, L_cand, U_cand, params):
     rep = CorrectionReport(stage="rank_deficient_ec", epsilon=params.eps,
                            seed=params.seed)
 
-    # packed candidate for the leading d-by-d block, zero-padded past r_hat
-    M = np.zeros((d, d), dtype=np.int64)
-    ru = min(r_hat, d)
-    M[:ru, :] = np.triu(U_cand.a[:ru, :d])
-    M[:, :ru] += np.tril(L_cand.a[:d, :ru], -1)
+    # one m-by-n buffer: L below the diagonal, U on and above it, zero past
+    # r_hat; the leading d-by-d block is the packed candidate of crout_ec
+    M = np.zeros((m, n), dtype=np.int64)
+    M[:r_hat] = np.triu(U_cand.a[:m])
+    M[:, :r_hat] += np.tril(L_cand.a[:, :n], -1)
     ctx.canonical(M, in_place=True)
     A = Mat(ctx, ctx.canonical(A.a))
 
     t_sub = time.perf_counter()
     sub = CorrectionReport(stage="croutec", epsilon=params.eps / 3)
-    P = PackedLU(Mat(ctx, M))
+    P = PackedLU(Mat(ctx, M[:d, :d]))
     try:
         _crout_ec(P.lower_tri(), P.upper_tri(), A.a[:d, :d], 0, d,
                   params.child(params.eps / 3), sub)
@@ -274,38 +274,22 @@ def rank_deficient_ec(A, L_cand, U_cand, params):
     sub.wall_time = time.perf_counter() - t_sub
     rep.add_child(sub)
 
-    # U right strip: columns r..n (partially corrected inside M up to d)
-    U_rest = np.zeros((r, n - r), dtype=np.int64)
-    U_rest[:, :d - r] = np.triu(M, 0)[:r, r:d]
-    take = min(r_hat, r)
-    if n > d:
-        U_rest[:take, d - r:] = U_cand.a[:take, d:]
-    L11 = Tri(Mat(ctx, M[:r, :r]), "lower", unit=True)
-    U11 = Tri(Mat(ctx, M[:r, :r]), "upper")
+    # the U strip right of r and the L strip below it, corrected in place
     if n > r:
         rep.add_child(trsm_ec_lower_left(
-            Mat(ctx, U_rest), BlackboxRHS(C=A.view(0, r, r, n - r)), L11,
+            Mat(ctx, M[:r, r:]), BlackboxRHS(C=A.view(0, r, r, n - r)),
+            Tri(Mat(ctx, M[:r, :r]), "lower", unit=True),
             params.child(params.eps / 3)).shift(0, r))
-
-    # L bottom strip: rows r..m
-    L_rest = np.zeros((m - r, r), dtype=np.int64)
-    L_rest[:d - r, :] = np.tril(M, -1)[r:d, :r]
-    if m > d:
-        L_rest[d - r:, :take] = L_cand.a[d:, :take]
     if m > r:
         rep.add_child(trsm_ec_upper_right(
-            Mat(ctx, L_rest), BlackboxRHS(C=A.view(r, 0, m - r, r)), U11,
+            Mat(ctx, M[r:, :r]), BlackboxRHS(C=A.view(r, 0, m - r, r)),
+            Tri(Mat(ctx, M[:r, :r]), "upper"),
             params.child(params.eps / 3)).shift(r, 0))
 
-    L_out = np.zeros((m, r), dtype=np.int64)
-    L_out[:r, :] = np.tril(M[:r, :r], -1) + np.eye(r, dtype=np.int64)
-    L_out[r:, :] = L_rest
-    U_out = np.zeros((r, n), dtype=np.int64)
-    U_out[:, :r] = np.triu(M[:r, :r])
-    U_out[:, r:] = U_rest
+    L = np.tril(M[:, :r], -1) + np.eye(m, r, dtype=np.int64)
     rep.verified = all(c.verified for c in rep.children)
     rep.wall_time = time.perf_counter() - t0
-    return r, Mat(ctx, L_out), Mat(ctx, U_out), rep
+    return r, Mat(ctx, L), Mat(ctx, np.triu(M[:r])), rep
 
 
 def make_grp_instance(ctx, n, rng, rank=None):

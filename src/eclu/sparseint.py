@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ff
+from .blackbox import BlackboxRHS
 from .mat import Mat
 
 
@@ -154,13 +156,28 @@ def interpolate_column(ctx, evals, s, tab):
 
 
 def batch_interpolate(ctx, G, s, tab):
-    """Columnwise recovery of S with V.S = G; G is 2s-by-c.
+    """Columnwise recovery over ctx of S with V.S = G; G is 2s-by-c.
 
-    Returns a list with one SparseColumn or FAILED per column.
+    G is as apply_vandermonde returns it: the digit planes over ctx when
+    theta's field tab.ctx extends ctx, interpolated in tab.ctx.  Returns one
+    SparseColumn with values in ctx, or FAILED, per column; a column with a
+    value outside ctx is FAILED.
     """
+    big = tab.ctx
     Ga = G.a if isinstance(G, Mat) else G
-    return [interpolate_column(ctx, Ga[:, j], s, tab)
-            for j in range(Ga.shape[1])]
+    if big != ctx:
+        Ga = big.pack(Ga)
+    out = []
+    for j in range(Ga.shape[1]):
+        col = interpolate_column(big, Ga[:, j], s, tab)
+        if col is not FAILED and big != ctx:
+            try:
+                col.values = ff.coerce_down(
+                    ctx, big, np.array(col.values)).tolist()
+            except ff.FieldError:
+                col = FAILED
+        out.append(col)
+    return out
 
 
 def vandermonde_cols(ctx, tab, nrows, cols):
@@ -181,19 +198,23 @@ def vandermonde_cols(ctx, tab, nrows, cols):
 def apply_vandermonde(ctx, tab, nrows, M):
     """(theta^(i*j))_{i<nrows, j<m} applied to M, over M's field ctx.
 
-    When theta's field tab.ctx is an extension built over ctx, V.M is
-    returned as its digit planes [V_0.M; ...; V_{nu-1}.M] over ctx, which
-    tab.ctx.pack turns into codes.  Only the columns of V that meet a
-    nonzero row of M are built, and the product is one matmul over ctx on
-    those rows, so the cost tracks the number of nonzero rows.
+    M is an array, a Mat (the result is then a Mat) or a BlackboxRHS,
+    which projects V by its own project_left.  When theta's field tab.ctx
+    extends ctx, V.M is returned as its digit planes [V_0.M; ...;
+    V_{nu-1}.M] over ctx.  For an array or a Mat only the columns of V
+    that meet a nonzero row of M are built, and the product is one matmul
+    over ctx on those rows, so the cost tracks the number of nonzero rows.
     """
+    box = isinstance(M, BlackboxRHS)
     Ma = M.a if isinstance(M, Mat) else M
-    m = Ma.shape[0]
+    m = M.rows if box else Ma.shape[0]
     if m > tab.m:
         raise ValueError("row dimension exceeds the power table")
-    live = np.nonzero(Ma.any(axis=1))[0]
+    live = np.arange(m) if box else np.nonzero(Ma.any(axis=1))[0]
     V = vandermonde_cols(tab.ctx, tab, nrows, live)
-    if tab.ctx is not ctx:
+    if tab.ctx != ctx:
         V = tab.ctx.planes(V)
+    if box:
+        return M.project_left(V).a
     out = ctx.matmul(V, Ma if len(live) == m else Ma[live])
     return Mat(ctx, out) if isinstance(M, Mat) else out

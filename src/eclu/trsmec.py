@@ -166,27 +166,6 @@ def dense_cheaper(q, eps, m, n, ell, c=0, s=0, spent=0):
             <= spent + sparse_price(q, eps, m, n, ell, c, s))
 
 
-def _power_table(ctx, m):
-    """The powers of theta over ctx for m rows, built once per (ctx, m).
-
-    Building them is a Python loop of up to m products per candidate
-    theta, about 4 ms at GF(7^4) and m = 512 on one thread of the machine
-    of dense_cheaper's calibration: a fifth of a trsm call at n = 512 that
-    corrects 16 errors.  Tables are looked up by the field object, not by
-    field equality: _recover and apply_vandermonde tell theta's field from
-    R's by identity, and equal fields may still differ in their modulus.
-    """
-    return _power_table_of(id(ctx), ctx, m)
-
-
-@functools.lru_cache(maxsize=64)
-def _power_table_of(ident, ctx, m):
-    # the cache holds ctx, so no other field takes its id while cached
-    tab = ff.element_of_order_at_least(ctx, m)
-    tab.powers.flags.writeable = False  # shared by every call
-    return tab
-
-
 def iteration_cap(m, n):
     # generous: the analysis gives ~3 log2 n rounds on success
     return int(3 * math.log2(max(n, 2)) + 2 * math.log2(max(m * n, 2)) + 8)
@@ -341,7 +320,7 @@ def _correction_loop(R, H, T, params, stage):
         rep.correcting_rounds += 1
         if tab is None:
             big = ff.extend_field(base, m) if rep.extended else base
-            tab = _power_table(big, m)
+            tab = ff.element_of_order_at_least(big, m)
         fixed = _recover(base, tab, s, H, R, T, bad)
         step.update(s=s, tried=c, failed=c - len(fixed), ext=rep.extended)
         for j, (ri, rv) in fixed.items():
@@ -387,35 +366,20 @@ def _recover(base, tab, s, H, R, T, bad):
     """col -> (row indices, values) of the error E = H T^-1 - R on the bad
     columns, over base.
 
-    With V = (theta^(i j)) of 2s rows over theta's field big (tab.ctx),
-    G (P^T T P) = V (H - R T) P = V E P.  Every operand but V is over base,
-    so G is formed and solved as its digit planes over base (see
-    apply_vandermonde) and packed into big only to be interpolated; a
-    value outside base fails its column.
+    With V = (theta^(i j)) of 2s rows over theta's field tab.ctx and P the
+    bad columns, G (P^T T P) = V (H - R T) P = V E P.  apply_vandermonde
+    forms V H P and V R over base, as digit planes when theta lies in an
+    extension, and batch_interpolate recovers E P from G in base.
     """
-    big = tab.ctx
     rows = 2 * s
-    sel = H.select_cols(bad)
     Tc = T.cols(bad).a
-    G = base.neg(base.matmul(apply_vandermonde(base, tab, rows, R.a), Tc))
-    if sel.C is not None:
-        G = base.add(G, apply_vandermonde(base, tab, rows, sel.C.a))
-    if sel.A is not None:
-        VA = apply_vandermonde(base, tab, rows, sel.A.a)
-        prod = base.matmul(VA, sel.B.a)
-        G = base.sub(G, prod) if sel.sign < 0 else base.add(G, prod)
+    G = base.sub(apply_vandermonde(base, tab, rows, H.select_cols(bad)),
+                 base.matmul(apply_vandermonde(base, tab, rows, R.a), Tc))
     # rows bad of T P are P^T T P, as bad is increasing
     Tri(Mat(base, Tc[bad]), T.kind).solve_right(G)
-    if big is not base:
-        G = big.pack(G)
     pending = {}
-    for j, col in zip(bad, batch_interpolate(big, G, s, tab)):
-        if col is None or not col.indices:
-            continue
-        try:
-            values = ff.coerce_down(base, big,
-                                    np.array(col.values, dtype=np.int64))
-        except ff.FieldError:
-            continue
-        pending[int(j)] = (np.array(col.indices, dtype=np.intp), values)
+    for j, col in zip(bad, batch_interpolate(base, G, s, tab)):
+        if col is not None and col.indices:
+            pending[int(j)] = (np.array(col.indices, dtype=np.intp),
+                               np.array(col.values, dtype=np.int64))
     return pending

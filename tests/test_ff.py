@@ -1,6 +1,7 @@
 """Field contexts: arithmetic, extensions, high-order elements, sampling."""
 
 import ast
+import copy
 import os
 import pathlib
 import subprocess
@@ -88,6 +89,16 @@ def test_theta_too_small_field():
     f2 = make_prime_field(2)
     with pytest.raises(FieldError):
         element_of_order_at_least(f2, 2)
+
+
+@pytest.mark.parametrize("make", [lambda: make_prime_field(65537),
+                                  lambda: make_ext_field(7, 3)],
+                         ids=["65537", "343"])
+def test_equal_fields_share_one_power_table(make):
+    F = make()
+    tab = element_of_order_at_least(F, 200)
+    assert tab is element_of_order_at_least(copy.deepcopy(F), 200)
+    assert not tab.powers.flags.writeable
 
 
 def test_powtable_dlog_exhaustive():

@@ -8,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from eclu.blackbox import BlackboxRHS
 from eclu.ff import (PowTable, element_of_order_at_least, extend_field,
                      make_ext_field, make_prime_field)
 from eclu.mat import Mat
-from eclu.sparseint import (apply_vandermonde, batch_interpolate,
+from eclu.sparseint import (FAILED, apply_vandermonde, batch_interpolate,
                             berlekamp_massey, interpolate_column,
                             vandermonde_cols)
 
@@ -251,6 +252,78 @@ def test_apply_vandermonde_property(case, data):
     assert_canonical(ctx, out)
     wrapped = apply_vandermonde(ctx, tab, nrows, Mat(ctx, M))
     assert isinstance(wrapped, Mat) and np.array_equal(wrapped.a, out)
+
+
+@st.composite
+def blackbox_case(draw):
+    """(ctx, tab, nrows, H): a blackbox H = C, +-A.B or C +- A.B over
+    KERNEL_FIELDS, or over GF(2) with theta from its extension."""
+    ctx = draw(st.sampled_from(KERNEL_FIELDS + [make_prime_field(2)]))
+    if ctx.q == 2:
+        tab_m = draw(st.integers(2, 24))
+        tab = element_of_order_at_least(extend_field(ctx, tab_m), tab_m)
+    else:
+        tab_m = draw(st.integers(1, min(ctx.q - 1, 24)))
+        tab = element_of_order_at_least(ctx, tab_m)
+    m = draw(st.integers(0, tab_m))
+    n = draw(st.integers(0, 4))
+    ell = draw(st.integers(0, 3))
+    form = draw(st.sampled_from(["C", "AB", "C+AB"]))
+
+    def mat(rows, cols):
+        return Mat(ctx, draw(arrays(np.int64, (rows, cols),
+                                    elements=st.integers(0, ctx.q - 1))))
+
+    C = None if form == "AB" else mat(m, n)
+    A, B = (None, None) if form == "C" else (mat(m, ell), mat(ell, n))
+    H = BlackboxRHS(C=C, A=A, B=B, sign=draw(st.sampled_from([-1, 1])),
+                    ctx=ctx)
+    return ctx, tab, draw(st.sampled_from([0, 1, 2, 6])), H
+
+
+@given(case=blackbox_case())
+def test_apply_vandermonde_projects_a_blackbox_as_its_dense_form(case):
+    ctx, tab, nrows, H = case
+    out = apply_vandermonde(ctx, tab, nrows, H)
+    assert np.array_equal(out, apply_vandermonde(ctx, tab, nrows, H.dense().a))
+    assert_canonical(ctx, out)
+
+
+@pytest.mark.parametrize("base,m", [(make_prime_field(2), 40), (F7, 60),
+                                    (make_ext_field(2, 2), 30)], ids=repr)
+def test_batch_interpolate_reads_planes_and_recovers_over_the_base(base, m):
+    # theta from the extension built over base: G as apply_vandermonde
+    # returns it, digit planes over base, gives back a sparse S over base
+    s, c = 3, 12
+    tab = element_of_order_at_least(extend_field(base, m), m)
+    rng = np.random.default_rng(m)
+    S = np.zeros((m, c), dtype=np.int64)
+    for j in range(c):
+        rows = rng.choice(m, size=int(rng.integers(0, s + 1)), replace=False)
+        S[rows, j] = base.rand_nonzero(rng, (len(rows),))
+    out = batch_interpolate(base, apply_vandermonde(base, tab, 2 * s, S), s,
+                            tab)
+    for j, col in enumerate(out):
+        assert col is not FAILED
+        assert col.indices == np.nonzero(S[:, j])[0].tolist()
+        assert col.values == S[col.indices, j].tolist()
+
+
+def test_batch_interpolate_fails_a_column_with_a_value_outside_the_base():
+    # column 1 is 2-sparse over GF(2^6) but holds the code 2 = y, which is
+    # outside GF(2): read over GF(2^6) it recovers, read over GF(2) it fails
+    base, m, s = make_prime_field(2), 40, 2
+    big = extend_field(base, m)
+    tab = element_of_order_at_least(big, m)
+    S = np.zeros((m, 2), dtype=np.int64)
+    S[[3, 17], 0] = 1
+    S[[5, 30], 1] = [1, 2]
+    G = big.matmul(vandermonde_cols(big, tab, 2 * s, np.arange(m)), S)
+    assert [col.indices for col in batch_interpolate(big, G, s, tab)] == [
+        [3, 17], [5, 30]]
+    out = batch_interpolate(base, big.planes(G), s, tab)
+    assert out[0].indices == [3, 17] and out[0].values == [1, 1]
+    assert out[1] is FAILED
 
 
 @given(case=vandermonde_case(), data=st.data())

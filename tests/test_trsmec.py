@@ -6,14 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from eclu import ff, trsmec
+from eclu import ff, sparseint, trsmec
 from eclu.blackbox import BlackboxRHS
 from eclu.croutec import crout_ec, make_grp_instance
 from eclu.ff import make_ext_field, make_prime_field
 from eclu.mat import Mat, PackedLU, Tri, multiply
 from eclu.report import CorrectionReport
 from eclu.syssolve import tr_inv_ec
-from eclu.sparseint import batch_interpolate
+from eclu.sparseint import batch_interpolate, interpolate_column
 from eclu.trsmec import (TrsmEcParams, _projected_gap, dense_cheaper,
                          dense_price, freivalds_lambda, sparse_price,
                          trsm_ec_lower_left, trsm_ec_lower_right,
@@ -300,9 +300,10 @@ def test_round_trace_records_every_pass(ctx, k):
     lambda: make_prime_field(65537), lambda: ff.PrimeField(65537),
     lambda: make_ext_field(7, 3), lambda: ff.ExtField(F7, 3)],
     ids=["65537", "65537-new", "343", "343-new"])
-def test_equal_fields_recover_with_their_own_power_tables(make):
+def test_equal_fields_share_one_power_table(make):
     # two equal but distinct field objects, each large enough to hold
-    # theta: the second recovery must not take the first one's table
+    # theta: equal fields give every code the same meaning, so both
+    # recoveries use one power table, built for whichever came first
     for copy_field in (lambda F: F, copy.deepcopy):
         ctx = copy_field(make())
         rng = np.random.default_rng(16)
@@ -525,7 +526,7 @@ def test_recovery_rounds_multiply_only_over_the_base(base, monkeypatch):
         return matmul(self, A, B)
 
     def spy_interpolate(ctx, G, s, tab):
-        interpolated.append(ctx)
+        interpolated.append(tab.ctx)
         return batch_interpolate(ctx, G, s, tab)
 
     monkeypatch.setattr(ff.ExtField, "matmul", spy_matmul)
@@ -582,16 +583,21 @@ def test_value_outside_the_base_field_fails_its_column(monkeypatch):
     wrong = set(zip(*(x.tolist() for x in np.nonzero(R.a != truth))))
     calls, poisoned = [], []
 
-    def poison(ctx, G, s, tab):
-        out = batch_interpolate(ctx, G, s, tab)
-        calls.append([(c.indices, list(c.values)) for c in out if c])
-        for col in out:
-            if not poisoned and col is not None and col.indices:
-                poisoned.append((len(calls), (col.indices, list(col.values))))
-                col.values[0] += 2
-        return out
+    def spy(ctx, G, s, tab):
+        calls.append([])  # the columns this round recovers
+        return batch_interpolate(ctx, G, s, tab)
 
-    monkeypatch.setattr(trsmec, "batch_interpolate", poison)
+    def poison(ctx, evals, s, tab):
+        col = interpolate_column(ctx, evals, s, tab)
+        if col is not None and col.indices:
+            calls[-1].append((col.indices, list(col.values)))
+            if not poisoned:
+                poisoned.append((len(calls), calls[-1][-1]))
+                col.values[0] += 2
+        return col
+
+    monkeypatch.setattr(trsmec, "batch_interpolate", spy)
+    monkeypatch.setattr(sparseint, "interpolate_column", poison)
     rep = trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=26))
     first, col = poisoned[0]
     assert any(col in later for later in calls[first:])
