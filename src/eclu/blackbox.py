@@ -20,7 +20,7 @@ class BlackboxRHS:
 
     __slots__ = ("ctx", "C", "A", "B", "sign", "rows", "cols")
 
-    def __init__(self, C=None, A=None, B=None, sign=-1, ctx=None):
+    def __init__(self, C=None, A=None, B=None, sign=-1):
         if (A is None) != (B is None):
             raise DimensionError("A and B must be given together")
         if C is None and A is None:
@@ -41,7 +41,7 @@ class BlackboxRHS:
         if len(shapes) == 2 and shapes[0] != shapes[1]:
             raise DimensionError("C and A.B have different shapes")
         self.rows, self.cols = shapes[0]
-        self.ctx = ctx or (C.ctx if C is not None else A.ctx)
+        self.ctx = C.ctx if C is not None else A.ctx
 
     @property
     def inner(self):
@@ -82,7 +82,7 @@ class BlackboxRHS:
         J = np.asarray(J, dtype=np.intp)
         C = None if self.C is None else Mat(self.ctx, self.C.a[:, J])
         B = None if self.B is None else Mat(self.ctx, self.B.a[:, J])
-        return BlackboxRHS(C=C, A=self.A, B=B, sign=self.sign, ctx=self.ctx)
+        return BlackboxRHS(C=C, A=self.A, B=B, sign=self.sign)
 
     def dense(self):
         """Materialize H, as a dense solve against it needs."""
@@ -105,7 +105,7 @@ class BlackboxRHS:
             return None if M is None else Mat(self.ctx, self.ctx.canonical(M.a))
 
         return BlackboxRHS(C=red(self.C), A=red(self.A), B=red(self.B),
-                           sign=self.sign, ctx=self.ctx)
+                           sign=self.sign)
 
     def lift(self, big, base):
         """The same right-hand side read in big, a field that extend_field
@@ -114,4 +114,4 @@ class BlackboxRHS:
             return None if M is None else Mat(big, M.a)
 
         return BlackboxRHS(C=up(self.C), A=up(self.A), B=up(self.B),
-                           sign=self.sign, ctx=big)
+                           sign=self.sign)

@@ -12,26 +12,28 @@ fails descends: each small diagonal block is checked densely, and each
 strip goes through the triangular correction loop.  The reference and a
 wrong block share one leaf kernel, in-place elimination of the block's
 Schur complement.  Every report leaf holds its positions in the packed
-matrix's coordinates.
+matrix's coordinates, and every stage, leaves and strips included, times
+itself through report.stage.
 """
-
-import time
 
 import numpy as np
 
 from .blackbox import BlackboxRHS
 from .mat import _BLOCK_CHECK, DimensionError, Mat, PackedLU, Tri
-from .report import CorrectionReport
+from .report import stage
 from .trsmec import (TrsmEcParams, _correction_loop, freivalds_lambda,
                      trsm_ec_lower_left, trsm_ec_upper_right)
 
 
 class GrpViolation(ValueError):
-    """Zero pivot, at position index, met where the input was asserted GRP."""
+    """Zero pivot, at position index, met where the input was asserted GRP;
+    raised by crout_ec, report is its report, holding the corrections made
+    before the pivot."""
 
     def __init__(self, index):
         super().__init__("zero pivot at index %d" % index)
         self.index = index
+        self.report = None
 
 
 def crout_reference(A):
@@ -92,23 +94,23 @@ def crout_ec(packed, A, params):
 
     packed holds the (possibly erroneous) L below the diagonal and U on and
     above it; on success it is overwritten with the true factors and
-    Pr[A = L.U] >= 1 - eps.  Returns (packed, report); the report's
-    wall_time covers the whole call, its lam is the largest of its stages.
-    Raises GrpViolation when A has a zero pivot.
+    Pr[A = L.U] >= 1 - eps.  Returns (packed, report); the report's lam is
+    the largest of its stages.  Raises GrpViolation, carrying the report,
+    when A has a zero pivot.
     """
-    t0 = time.perf_counter()
     params = TrsmEcParams.with_generator(params)
     if A.rows != A.cols or packed.n != A.rows:
         raise DimensionError("candidate and input sizes disagree")
-    rep = CorrectionReport(stage="croutec", epsilon=params.eps,
-                           seed=params.seed)
     ctx = A.ctx
-    # the only range checks: the candidate in place, the input by a copy
-    ctx.canonical(packed.mat.a, in_place=True)
-    _crout_ec(packed.lower_tri(), packed.upper_tri(), ctx.canonical(A.a), 0,
-              A.rows, params, rep)
-    rep.verified = all(c.verified for c in rep.children)
-    rep.wall_time = time.perf_counter() - t0
+    with stage("croutec", params) as rep:
+        # the only range checks: the candidate in place, the input by a copy
+        ctx.canonical(packed.mat.a, in_place=True)
+        try:
+            _crout_ec(packed.lower_tri(), packed.upper_tri(),
+                      ctx.canonical(A.a), 0, A.rows, params, rep)
+        except GrpViolation as err:
+            err.report = rep
+            raise
     return packed, rep
 
 
@@ -121,7 +123,7 @@ def _crout_ec(L, U, A, n1, nrest, params, rep):
     """
     ctx, M = L.ctx, L.a
     if nrest <= _BLOCK_CHECK:
-        _dense_block(ctx, M, A, n1, nrest, params.eps, rep)
+        _dense_block(ctx, M, A, n1, nrest, params, rep)
         return
     check = _node_check(L, U, A, n1, nrest, params)
     if check.verified:
@@ -139,16 +141,17 @@ def _crout_ec(L, U, A, n1, nrest, params, rep):
     # corrected as its transpose U23^T . L22^T = H^T
     H_u = BlackboxRHS(C=Mat(ctx, A[r2, r3]),
                       A=Mat(ctx, M[r2, r1]), B=Mat(ctx, M[r1, r3]))
-    rep.add_child(_correction_loop(Mat(ctx, M[r2, r3]).T, H_u.T,
-                                   L.sub(n1, n2).T, quarter,
-                                   "trsmec_lower_left")
-                  .transposed().shift(n1, n1 + n2))
+    with stage("trsmec_lower_left", quarter) as strip:
+        _correction_loop(Mat(ctx, M[r2, r3]).T, H_u.T, L.sub(n1, n2).T,
+                         quarter, strip)
+    rep.add_child(strip.transposed().shift(n1, n1 + n2))
     # L32 from L32 . U22 = A32 - L31 . U12
     H_l = BlackboxRHS(C=Mat(ctx, A[r3, r2]),
                       A=Mat(ctx, M[r3, r1]), B=Mat(ctx, M[r1, r2]))
-    rep.add_child(_correction_loop(Mat(ctx, M[r3, r2]), H_l, U.sub(n1, n2),
-                                   quarter, "trsmec_upper_right")
-                  .shift(n1 + n2, n1))
+    with stage("trsmec_upper_right", quarter) as strip:
+        _correction_loop(Mat(ctx, M[r3, r2]), H_l, U.sub(n1, n2), quarter,
+                         strip)
+    rep.add_child(strip.shift(n1 + n2, n1))
     _crout_ec(L, U, A, n1 + n2, nrest - n2, quarter, rep)
 
 
@@ -163,22 +166,21 @@ def _node_check(L, U, A, n1, ns, params):
     leaf's epsilon.  The leaf is verified when the check passes; a zero on
     U_s's diagonal always fails it, so the zero pivot is met below.
     """
-    t0 = time.perf_counter()
     ctx, M = L.ctx, L.a
-    lam = freivalds_lambda(ctx.q, ns, params.eps)
-    s = slice(n1, n1 + ns)
-    W = ctx.rand(params.generator(), (lam, ns))
-    WB = ctx.sub(ctx.matmul(W, A[s, s]),
-                 ctx.matmul(ctx.matmul(W, M[s, :n1]), M[:n1, s]))
-    Us = U.sub(n1, ns)
-    ok = bool(Us.a.diagonal().all() and np.array_equal(
-        Us.mul_right(L.sub(n1, ns).mul_right(W)), WB))
-    return CorrectionReport(stage="freivalds_lu", epsilon=float(ctx.q) ** -lam,
-                            seed=params.seed, rounds=1, lam=lam, verified=ok,
-                            wall_time=time.perf_counter() - t0)
+    with stage("freivalds_lu", params) as rep:
+        lam = freivalds_lambda(ctx.q, ns, params.eps)
+        s = slice(n1, n1 + ns)
+        W = ctx.rand(params.rng, (lam, ns))
+        WB = ctx.sub(ctx.matmul(W, A[s, s]),
+                     ctx.matmul(ctx.matmul(W, M[s, :n1]), M[:n1, s]))
+        Us = U.sub(n1, ns)
+        rep.verified = bool(Us.a.diagonal().all() and np.array_equal(
+            Us.mul_right(L.sub(n1, ns).mul_right(W)), WB))
+        rep.epsilon, rep.rounds, rep.lam = float(ctx.q) ** -lam, 1, lam
+    return rep
 
 
-def _dense_block(ctx, M, A, n1, ns, eps, parent):
+def _dense_block(ctx, M, A, n1, ns, params, parent):
     """Deterministic check of a small diagonal block; recomputes it if wrong.
 
     By the elimination order every column left of n1 is already final, so
@@ -188,22 +190,22 @@ def _dense_block(ctx, M, A, n1, ns, eps, parent):
     _factor_leaf; the leaf joins parent even when a zero pivot raises,
     reporting the entries that changed as one correcting round.
     """
-    t0 = time.perf_counter()
-    rep = CorrectionReport(stage="dense_block", epsilon=eps, rounds=1,
-                           verified=True, dense_verified=True)
-    s = slice(n1, n1 + ns)
-    Ms, before = M[s, s], M[s, s].copy()
-    B = ctx.sub(A[s, s], ctx.matmul(M[s, :n1], M[:n1, s]))
-    LU = ctx.matmul(np.tril(Ms, -1) + np.eye(ns, dtype=np.int64), np.triu(Ms))
-    try:
-        if not (Ms.diagonal().all() and np.array_equal(LU, B)):
-            rep.correcting_rounds = 1
-            _factor_leaf(ctx, Ms, B, n1)
-    finally:
-        rep.positions = list(map(tuple, np.argwhere(Ms != before).tolist()))
-        rep.corrected = len(rep.shift(n1, n1).positions)
-        rep.wall_time = time.perf_counter() - t0
-        parent.add_child(rep)
+    with stage("dense_block", params) as rep:
+        rep.rounds, rep.verified, rep.dense_verified = 1, True, True
+        s = slice(n1, n1 + ns)
+        Ms, before = M[s, s], M[s, s].copy()
+        B = ctx.sub(A[s, s], ctx.matmul(M[s, :n1], M[:n1, s]))
+        LU = ctx.matmul(np.tril(Ms, -1) + np.eye(ns, dtype=np.int64),
+                        np.triu(Ms))
+        try:
+            if not (Ms.diagonal().all() and np.array_equal(LU, B)):
+                rep.correcting_rounds = 1
+                _factor_leaf(ctx, Ms, B, n1)
+        finally:
+            rep.positions = list(map(tuple,
+                                     np.argwhere(Ms != before).tolist()))
+            rep.corrected = len(rep.shift(n1, n1).positions)
+            parent.add_child(rep)
 
 
 def rect_ec(A, packed, U2, params):
@@ -213,23 +215,20 @@ def rect_ec(A, packed, U2, params):
     candidate for the trailing columns.  Both are corrected in place so
     that L . [U1 U2] = A with probability >= 1 - eps.
     """
-    t0 = time.perf_counter()
     params = TrsmEcParams.with_generator(params)
     m, n = A.shape
     if m > n:
         raise DimensionError("rect_ec expects m <= n")
     if packed.n != m or U2.shape != (m, n - m):
         raise DimensionError("candidate shapes disagree with A")
-    rep = CorrectionReport(stage="rect_ec", epsilon=params.eps,
-                           seed=params.seed)
-    _, sub = crout_ec(packed, A.view(0, 0, m, m), params.child(params.eps / 2))
-    rep.add_child(sub)
-    if n > m:
-        rep.add_child(trsm_ec_lower_left(
-            U2, BlackboxRHS(C=A.view(0, m, m, n - m)), packed.lower_tri(),
-            params.child(params.eps / 2)).shift(0, m))
-    rep.verified = all(c.verified for c in rep.children)
-    rep.wall_time = time.perf_counter() - t0
+    with stage("rect_ec", params) as rep:
+        _, sub = crout_ec(packed, A.view(0, 0, m, m),
+                          params.child(params.eps / 2))
+        rep.add_child(sub)
+        if n > m:
+            rep.add_child(trsm_ec_lower_left(
+                U2, BlackboxRHS(C=A.view(0, m, m, n - m)), packed.lower_tri(),
+                params.child(params.eps / 2)).shift(0, m))
     return packed, U2, rep
 
 
@@ -242,7 +241,6 @@ def rank_deficient_ec(A, L_cand, U_cand, params):
     Returns (r, L, U, report) with L of size m-by-r, U of size r-by-n and
     L . U = A with probability >= 1 - eps.
     """
-    t0 = time.perf_counter()
     params = TrsmEcParams.with_generator(params)
     ctx = A.ctx
     m, n = A.shape
@@ -250,45 +248,35 @@ def rank_deficient_ec(A, L_cand, U_cand, params):
     if L_cand.rows != m or U_cand.cols != n or U_cand.rows != r_hat:
         raise DimensionError("candidate shapes disagree with A")
     d = min(m, n)
-    rep = CorrectionReport(stage="rank_deficient_ec", epsilon=params.eps,
-                           seed=params.seed)
+    with stage("rank_deficient_ec", params) as rep:
+        # one m-by-n buffer: L below the diagonal, U on and above it, zero
+        # past r_hat; the leading d-by-d block is the packed candidate of
+        # crout_ec
+        M = np.zeros((m, n), dtype=np.int64)
+        M[:r_hat] = np.triu(U_cand.a[:m])
+        M[:, :r_hat] += np.tril(L_cand.a[:, :n], -1)
+        ctx.canonical(M, in_place=True)
+        A = Mat(ctx, ctx.canonical(A.a))
+        try:
+            _, sub = crout_ec(PackedLU(Mat(ctx, M[:d, :d])),
+                              A.view(0, 0, d, d), params.child(params.eps / 3))
+            r = d
+        except GrpViolation as stop:
+            r, sub = stop.index, stop.report
+        rep.add_child(sub)
 
-    # one m-by-n buffer: L below the diagonal, U on and above it, zero past
-    # r_hat; the leading d-by-d block is the packed candidate of crout_ec
-    M = np.zeros((m, n), dtype=np.int64)
-    M[:r_hat] = np.triu(U_cand.a[:m])
-    M[:, :r_hat] += np.tril(L_cand.a[:, :n], -1)
-    ctx.canonical(M, in_place=True)
-    A = Mat(ctx, ctx.canonical(A.a))
-
-    t_sub = time.perf_counter()
-    sub = CorrectionReport(stage="croutec", epsilon=params.eps / 3)
-    P = PackedLU(Mat(ctx, M[:d, :d]))
-    try:
-        _crout_ec(P.lower_tri(), P.upper_tri(), A.a[:d, :d], 0, d,
-                  params.child(params.eps / 3), sub)
-        r = d
-    except GrpViolation as stop:
-        r = stop.index
-    sub.verified = all(c.verified for c in sub.children)
-    sub.wall_time = time.perf_counter() - t_sub
-    rep.add_child(sub)
-
-    # the U strip right of r and the L strip below it, corrected in place
-    if n > r:
-        rep.add_child(trsm_ec_lower_left(
-            Mat(ctx, M[:r, r:]), BlackboxRHS(C=A.view(0, r, r, n - r)),
-            Tri(Mat(ctx, M[:r, :r]), "lower", unit=True),
-            params.child(params.eps / 3)).shift(0, r))
-    if m > r:
-        rep.add_child(trsm_ec_upper_right(
-            Mat(ctx, M[r:, :r]), BlackboxRHS(C=A.view(r, 0, m - r, r)),
-            Tri(Mat(ctx, M[:r, :r]), "upper"),
-            params.child(params.eps / 3)).shift(r, 0))
-
+        # the U strip right of r and the L strip below it, corrected in place
+        if n > r:
+            rep.add_child(trsm_ec_lower_left(
+                Mat(ctx, M[:r, r:]), BlackboxRHS(C=A.view(0, r, r, n - r)),
+                Tri(Mat(ctx, M[:r, :r]), "lower", unit=True),
+                params.child(params.eps / 3)).shift(0, r))
+        if m > r:
+            rep.add_child(trsm_ec_upper_right(
+                Mat(ctx, M[r:, :r]), BlackboxRHS(C=A.view(r, 0, m - r, r)),
+                Tri(Mat(ctx, M[:r, :r]), "upper"),
+                params.child(params.eps / 3)).shift(r, 0))
     L = np.tril(M[:, :r], -1) + np.eye(m, r, dtype=np.int64)
-    rep.verified = all(c.verified for c in rep.children)
-    rep.wall_time = time.perf_counter() - t0
     return r, Mat(ctx, L), Mat(ctx, np.triu(M[:r])), rep
 
 

@@ -188,16 +188,10 @@ class PrimeField(FieldCtx):
             _bump(1)
         return pow(a, -1, self.p)
 
-    def spow(self, a, e):
-        if _COUNTING:
-            _bump(1)
-        return pow(int(a), int(e), self.p)
-
     # scalar aliases (same code path as the vector ops for prime fields)
     smul = mul
     sadd = add
     ssub = sub
-    sneg = neg
 
     def matmul(self, A, B):
         """A.B mod p for residue arrays A (m-by-l) and B (l-by-n).
@@ -382,11 +376,6 @@ class ExtField(FieldCtx):
     def ssub(self, a, b):
         return self.sadd(a, self._sneg(int(b)))
 
-    def sneg(self, a):
-        if _COUNTING:
-            _bump(1)
-        return self._sneg(int(a))
-
     def _sneg(self, a):
         if a == 0 or self.p == 2:
             return a
@@ -408,19 +397,6 @@ class ExtField(FieldCtx):
         if _COUNTING:
             _bump(1)
         return self._exp.item(-la % self._q1)
-
-    def spow(self, a, e):
-        e = int(e)
-        if e == 0:
-            return 1
-        la = self._log.item(a)
-        if la < 0:
-            if e < 0:
-                raise ZeroDivisionError
-            return 0
-        if _COUNTING:
-            _bump(1)
-        return self._exp.item(la * e % self._q1)
 
     def matmul(self, A, B):
         """A.B for code arrays A (m-by-l) and B (l-by-n).

@@ -211,7 +211,7 @@ def correct(workdir, eps=None, seed=None, verify_after=True):
     sc = Scenario.from_file(os.path.join(workdir, "scenario.json"))
     eps = sc.eps if eps is None else eps
     seed = sc.seed + 1 if seed is None else seed
-    params = TrsmEcParams(eps, seed=seed, rng=np.random.default_rng(seed))
+    params = TrsmEcParams(eps, seed=seed)
     mats = {}  # every matrix read, then the corrected ones by plain name
 
     def rd(name):

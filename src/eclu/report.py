@@ -11,9 +11,13 @@ those that came back without a value), and ext (whether theta came from
 an extension field); stop says why the loop ended: "clean" (a projection
 found no erroneous column), "dense" (a dense check or solve settled it)
 or "cap" (the round budget ran out, on the MonteCarloFailure's report).
+
+Every corrector opens its report with stage, which times the whole block.
 """
 
 import json
+import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 
@@ -29,7 +33,7 @@ class CorrectionReport:
     extended: bool = False         # recovery field is an extension (m >= q),
     ext_degree: int = 1            # of this degree; built only to recover
     seed: object = None
-    wall_time: float = 0.0         # the whole call, children included
+    wall_time: float = 0.0         # the whole stage, children included
     verified: bool = False         # final Freivalds pass (probabilistic)
     dense_verified: bool = False   # settled by a dense check or solve
     stop: str = ""                 # "clean", "dense" or "cap"; loops only
@@ -87,3 +91,20 @@ class CorrectionReport:
         rep.positions = [tuple(p) for p in rep.positions]
         rep.children = [cls._from_dict(c) for c in rep.children]
         return rep
+
+
+@contextmanager
+def stage(name, params):
+    """The report of one stage, named name, with params' eps and seed.
+
+    However the block ends, a raise included, wall_time covers all of it;
+    a report with children is verified when all of them are.
+    """
+    rep = CorrectionReport(stage=name, epsilon=params.eps, seed=params.seed)
+    t0 = time.perf_counter()
+    try:
+        yield rep
+    finally:
+        if rep.children:
+            rep.verified = all(c.verified for c in rep.children)
+        rep.wall_time = time.perf_counter() - t0

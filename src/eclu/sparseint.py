@@ -151,8 +151,7 @@ def interpolate_column(ctx, evals, s, tab):
             return FAILED
         for t in range(L):
             cur[t] = ctx.smul(cur[t], roots_b[t])
-    pairs = sorted(zip(hits, values))
-    return SparseColumn([j for j, _ in pairs], [v for _, v in pairs])
+    return SparseColumn(hits, values)
 
 
 def batch_interpolate(ctx, G, s, tab):

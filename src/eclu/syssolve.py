@@ -13,14 +13,14 @@ as a blackbox right-hand side.
 Each stage gets a third of the failure budget.
 """
 
-import time
 from dataclasses import dataclass
 
 from .blackbox import BlackboxRHS
 from .croutec import crout_ec
 from .mat import DimensionError, Mat, PackedLU
-from .report import CorrectionReport
-from .trsmec import TrsmEcParams, trsm_ec_lower_right, trsm_ec_upper_right
+from .report import stage
+from .trsmec import (TrsmEcParams, _as_tri, _trsm_ec_right,
+                     trsm_ec_lower_right, trsm_ec_upper_right)
 
 
 @dataclass
@@ -45,53 +45,45 @@ class LargeRhsBundle:
 
 def solve_small_rhs(bundle, params=None):
     """Correct everything so that X.A = B; returns (X, report)."""
-    t0 = time.perf_counter()
     params = TrsmEcParams.with_generator(
         bundle.eps if params is None else params)
     _check_shapes(bundle.A, bundle.B, bundle.lu_candidate)
-    rep = CorrectionReport(stage="solve_small_rhs", epsilon=params.eps,
-                           seed=params.seed)
-    B = _canonical_rhs(bundle)
-    packed, sub = crout_ec(bundle.lu_candidate, bundle.A,
-                           params.child(params.eps / 3))
-    rep.add_child(sub)
-    rep.add_child(trsm_ec_upper_right(bundle.Y_candidate,
-                                      BlackboxRHS(C=B),
-                                      packed.upper_tri(),
-                                      params.child(params.eps / 3)))
-    rep.add_child(trsm_ec_lower_right(bundle.X_candidate,
-                                      BlackboxRHS(C=bundle.Y_candidate),
-                                      packed.lower_tri(),
-                                      params.child(params.eps / 3)))
-    rep.verified = all(c.verified for c in rep.children)
-    rep.wall_time = time.perf_counter() - t0
+    with stage("solve_small_rhs", params) as rep:
+        B = _canonical_rhs(bundle)
+        packed, sub = crout_ec(bundle.lu_candidate, bundle.A,
+                               params.child(params.eps / 3))
+        rep.add_child(sub)
+        rep.add_child(trsm_ec_upper_right(bundle.Y_candidate,
+                                          BlackboxRHS(C=B),
+                                          packed.upper_tri(),
+                                          params.child(params.eps / 3)))
+        rep.add_child(trsm_ec_lower_right(bundle.X_candidate,
+                                          BlackboxRHS(C=bundle.Y_candidate),
+                                          packed.lower_tri(),
+                                          params.child(params.eps / 3)))
     return bundle.X_candidate, rep
 
 
 def solve_large_rhs(bundle, params=None):
     """Pipeline for many rows: corrects a candidate U^{-1} instead of Y."""
-    t0 = time.perf_counter()
     params = TrsmEcParams.with_generator(
         bundle.eps if params is None else params)
     _check_shapes(bundle.A, bundle.B, bundle.lu_candidate)
     n = bundle.A.rows
     if bundle.Rinv_candidate.shape != (n, n):
         raise DimensionError("inverse candidate must be n-by-n")
-    rep = CorrectionReport(stage="solve_large_rhs", epsilon=params.eps,
-                           seed=params.seed)
-    B = _canonical_rhs(bundle)
-    packed, sub = crout_ec(bundle.lu_candidate, bundle.A,
-                           params.child(params.eps / 3))
-    rep.add_child(sub)
-    rep.add_child(tr_inv_ec(bundle.Rinv_candidate, packed.upper_tri(),
-                            params.child(params.eps / 3)))
-    # X.L = B.R, with the product right-hand side left unevaluated
-    H = BlackboxRHS(A=B, B=bundle.Rinv_candidate, sign=+1)
-    rep.add_child(trsm_ec_lower_right(bundle.X_candidate, H,
-                                      packed.lower_tri(),
-                                      params.child(params.eps / 3)))
-    rep.verified = all(c.verified for c in rep.children)
-    rep.wall_time = time.perf_counter() - t0
+    with stage("solve_large_rhs", params) as rep:
+        B = _canonical_rhs(bundle)
+        packed, sub = crout_ec(bundle.lu_candidate, bundle.A,
+                               params.child(params.eps / 3))
+        rep.add_child(sub)
+        rep.add_child(tr_inv_ec(bundle.Rinv_candidate, packed.upper_tri(),
+                                params.child(params.eps / 3)))
+        # X.L = B.R, with the product right-hand side left unevaluated
+        H = BlackboxRHS(A=B, B=bundle.Rinv_candidate, sign=+1)
+        rep.add_child(trsm_ec_lower_right(bundle.X_candidate, H,
+                                          packed.lower_tri(),
+                                          params.child(params.eps / 3)))
     return bundle.X_candidate, rep
 
 
@@ -106,10 +98,8 @@ def tr_inv_ec(R, U, params):
     n = U.a.shape[0]
     if R.shape != (n, n):
         raise DimensionError("candidate inverse must match U")
-    rep = trsm_ec_upper_right(R, BlackboxRHS(C=Mat.identity(R.ctx, n)), U,
-                              params)
-    rep.stage = "tr_inv_ec"
-    return rep
+    return _trsm_ec_right(R, BlackboxRHS(C=Mat.identity(R.ctx, n)),
+                          _as_tri(U, "upper"), params, "tr_inv_ec")
 
 
 def _canonical_rhs(bundle):

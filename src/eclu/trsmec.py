@@ -33,14 +33,12 @@ checks that each recovered value lies in R's field.
 
 import functools
 import math
-import time
 
 import numpy as np
 
 from . import ff
-from .blackbox import BlackboxRHS
 from .mat import DimensionError, Mat, Tri
-from .report import CorrectionReport
+from .report import stage
 from .sparseint import apply_vandermonde, batch_interpolate
 
 
@@ -65,11 +63,6 @@ class TrsmEcParams:
         self.seed = seed
         self.rng = rng
 
-    def generator(self):
-        if self.rng is not None:
-            return self.rng
-        return np.random.default_rng(self.seed)
-
     @classmethod
     def with_generator(cls, params):
         """params (a TrsmEcParams or a bare failure bound) holding a live
@@ -77,13 +70,12 @@ class TrsmEcParams:
         if not isinstance(params, cls):
             params = cls(params)
         if params.rng is None:
-            params = cls(params.eps, seed=params.seed, rng=params.generator())
+            params = cls(params.eps, params.seed,
+                         np.random.default_rng(params.seed))
         return params
 
     def child(self, eps):
-        p = TrsmEcParams(eps, seed=self.seed)
-        p.rng = self.rng
-        return p
+        return TrsmEcParams(eps, self.seed, self.rng)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -207,10 +199,10 @@ def _as_tri(T, kind):
     return Tri(T, kind)
 
 
-def _trsm_ec_right(R, H, T, params, stage):
-    """Entry of the four public variants: checks shapes, operand ranges and
-    T's diagonal once, then runs the correction loop on R.T = H."""
-    t0 = time.perf_counter()
+def _trsm_ec_right(R, H, T, params, name):
+    """Entry of the four public variants and tr_inv_ec: checks shapes,
+    operand ranges and T's diagonal once, then runs the correction loop on
+    R.T = H in a stage named name, which it returns."""
     params = TrsmEcParams.with_generator(params)
     m, n = R.shape
     if H.rows != m or H.cols != n:
@@ -219,30 +211,28 @@ def _trsm_ec_right(R, H, T, params, stage):
     if T.n != n:
         raise DimensionError("triangle size %d does not match candidate cols %d"
                              % (T.n, n))
-    # the candidate is reduced in place, the inputs through reduced copies
-    R.ctx.canonical(R.a, in_place=True)
-    H = H.canonical()
-    T = Tri(Mat(R.ctx, R.ctx.canonical(T.a)), T.kind, T.unit)
-    if m and n:
-        T.check_invertible()
-    rep = _correction_loop(R, H, T, params, stage)
-    rep.wall_time = time.perf_counter() - t0
+    with stage(name, params) as rep:
+        # the candidate is reduced in place, the inputs through reduced copies
+        R.ctx.canonical(R.a, in_place=True)
+        H = H.canonical()
+        T = Tri(Mat(R.ctx, R.ctx.canonical(T.a)), T.kind, T.unit)
+        if m and n:
+            T.check_invertible()
+        _correction_loop(R, H, T, params, rep)
     return rep
 
 
-def _correction_loop(R, H, T, params, stage):
-    """Correct R in place so that R.T = H; returns the report, named stage.
+def _correction_loop(R, H, T, params, rep):
+    """Correct R in place so that R.T = H, filling rep, the report of the
+    stage that the caller opened.
 
     Assumes checked operands: matching shapes, codes in [0, q), T
     invertible, and params holding a live generator.
     """
-    t0 = time.perf_counter()
     m, n = R.shape
-    rep = CorrectionReport(stage=stage, epsilon=params.eps, seed=params.seed)
     if m == 0 or n == 0:
         rep.verified = True
-        rep.wall_time = time.perf_counter() - t0
-        return rep
+        return
 
     base, ell, eps = R.ctx, H.inner, params.eps
     if dense_cheaper(base.q, eps, m, n, ell):
@@ -250,10 +240,8 @@ def _correction_loop(R, H, T, params, stage):
         # more than one projection round, so correct deterministically
         rep.rounds = 1
         _dense_solve(R, H, T, rep, check=True)
-        rep.wall_time = time.perf_counter() - t0
-        return rep
+        return
 
-    rng = params.generator()
     lam = freivalds_lambda(base.q, n, eps)
     rep.lam = lam
     cap = iteration_cap(m, n)
@@ -277,7 +265,7 @@ def _correction_loop(R, H, T, params, stage):
             raise MonteCarloFailure(
                 "correction did not converge within %d rounds "
                 "(failure bound %g)" % (cap, eps), rep)
-        W = base.rand(rng, (lam, m))
+        W = base.rand(params.rng, (lam, m))
         # D = W H - W R T; zero iff no erroneous column remains (T is
         # invertible), found without the triangular solve
         D = _projected_gap(base, W, H, R.a, T)
@@ -314,8 +302,7 @@ def _correction_loop(R, H, T, params, stage):
         s = min(m, math.ceil(2 * (k_guess - k_done) / c))
         if dense_cheaper(base.q, eps, m, n, ell, c, s, spent):
             _dense_solve(R, H, T, rep)
-            rep.wall_time = time.perf_counter() - t0
-            return rep
+            return
         spent += sparse_price(base.q, eps, m, n, ell, c, s)
         rep.correcting_rounds += 1
         if tab is None:
@@ -330,8 +317,6 @@ def _correction_loop(R, H, T, params, stage):
     rep.verified = True  # the loop exits on a clean Freivalds projection
     rep.stop = "clean"
     rep.corrected = k_done
-    rep.wall_time = time.perf_counter() - t0
-    return rep
 
 
 def _dense_solve(R, H, T, rep, check=False):

@@ -624,16 +624,27 @@ def test_reference_inverts_at_most_two_blocks_per_leaf(monkeypatch):
 
 def test_croutec_non_grp_input_names_the_zero_pivot():
     # U0[20, 20] = 0 makes the leading 21-by-21 minor of A zero while the
-    # smaller ones stay nonzero
+    # smaller ones stay nonzero.  The violation carries the call's report,
+    # whose leaves name the entries corrected before the pivot: here those
+    # in the first leaf, in both strips of the node on 0..23, and in the
+    # leaf that holds the pivot
     rng = np.random.default_rng(15)
     _, L0, U0 = make_grp_instance(FBIG, 48, rng)
     U0.a[20, 20] = 0
     A = multiply(L0, U0)
     P = PackedLU.pack(L0.copy(), U0.copy())
     corrupt_packed(FBIG, P, 10, rng)
+    early = {(5, 5), (3, 15), (14, 2), (17, 12)}
+    for i, j in early:
+        P.mat.a[i, j] = FBIG.sadd(int(P.mat.a[i, j]), 1)
+    before = P.mat.a.copy()
     with pytest.raises(GrpViolation) as err:
         crout_ec(P, A, TrsmEcParams(0.05, seed=4))
     assert err.value.index == 20
+    rep = err.value.report
+    assert rep.stage == "croutec" and rep.seed == 4 and rep.wall_time > 0
+    assert _differ(P.mat.a, before) == early
+    assert _reported_once(rep) == early and rep.corrected == len(early)
 
 
 def test_croutec_root_report_times_itself_and_holds_largest_lam():
@@ -663,7 +674,7 @@ def test_rankdef_croutec_stage_times_itself():
     r, _, _, rep = rank_deficient_ec(A, Lc, Uc, TrsmEcParams(0.05, seed=2))
     assert r == 60
     stage = rep.children[0]
-    assert stage.stage == "croutec"
+    assert stage.stage == "croutec" and stage.seed == 2
     assert sum(c.wall_time for c in stage.children) < stage.wall_time
 
 

@@ -209,7 +209,8 @@ def test_empty_dimensions():
 
 def test_failure_keeps_only_confirmed_corrections(monkeypatch):
     # with one round allowed, the values the first round recovers are never
-    # confirmed, so giving up rolls all of them back
+    # confirmed, so giving up rolls all of them back; the failure's report
+    # is timed like any other
     monkeypatch.setattr(trsmec, "iteration_cap", lambda m, n: 1)
     rng = np.random.default_rng(11)
     R, H, U = make_right_instance(FBIG, 128, 128, 4, rng)
@@ -219,6 +220,7 @@ def test_failure_keeps_only_confirmed_corrections(monkeypatch):
         trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=1))
     assert np.array_equal(R.a, before)
     assert err.value.report.stop == "cap" and len(err.value.report.trace) == 1
+    assert err.value.report.wall_time > 0
 
 
 def dense_rhs_instance(ctx, n, rng):
