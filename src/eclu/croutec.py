@@ -9,20 +9,27 @@ corrector first checks each node with one Freivalds projection of its
 trailing block and skips the node's subtree when the check passes, so a
 correct candidate costs one projection of the whole product.  A node that
 fails descends: each small diagonal block is checked densely, and each
-strip goes through the triangular correction loop.  The reference and a
-wrong block share one leaf kernel, in-place elimination of the block's
-Schur complement.  Every report leaf holds its positions in the packed
-matrix's coordinates, and every stage, leaves and strips included, times
-itself through report.stage.
+strip goes through the triangular correction loop.  Once its first half
+returns, a node whose errors so far price the descent of its rest above
+refactoring it (_rest_prices) refactors the rest instead, as
+_correction_loop turns dense within a strip.  The reference and a wrong
+block share one leaf kernel, in-place elimination of the block's Schur
+complement.  Every report leaf holds its positions in the packed matrix's
+coordinates, and every stage, leaves and strips included, times itself
+through report.stage.
 """
+
+import math
+from contextlib import contextmanager
 
 import numpy as np
 
 from .blackbox import BlackboxRHS
 from .mat import _BLOCK_CHECK, DimensionError, Mat, PackedLU, Tri
 from .report import stage
-from .trsmec import (TrsmEcParams, _correction_loop, freivalds_lambda,
-                     trsm_ec_lower_left, trsm_ec_upper_right)
+from .trsmec import (TrsmEcParams, _correction_loop, dense_price,
+                     freivalds_lambda, sparse_price, trsm_ec_lower_left,
+                     trsm_ec_upper_right)
 
 
 class GrpViolation(ValueError):
@@ -62,9 +69,13 @@ def _crout(L, U, A, n1, nrest):
         return
     n2 = (nrest + 1) // 2
     _crout(L, U, A, n1, n2)
-    r1 = slice(0, n1)
-    r2 = slice(n1, n1 + n2)
-    r3 = slice(n1 + n2, n1 + nrest)
+    _crout_rest(L, U, A, n1, n2, nrest)
+
+
+def _crout_rest(L, U, A, n1, n2, nrest):
+    """Factor the strips and second half of the node on n1..n1+nrest-1."""
+    ctx, M = L.ctx, L.a
+    r1, r2, r3 = slice(0, n1), slice(n1, n1 + n2), slice(n1 + n2, n1 + nrest)
     M[r2, r3] = ctx.sub(A[r2, r3], ctx.matmul(M[r2, r1], M[r1, r3]))
     L.sub(n1, n2).solve_left(M[r2, r3])
     M[r3, r2] = ctx.sub(A[r3, r2], ctx.matmul(M[r3, r1], M[r1, r2]))
@@ -133,25 +144,27 @@ def _crout_ec(L, U, A, n1, nrest, params, rep):
     # so the descent keeps the rest of eps
     n2 = (nrest + 1) // 2
     quarter = params.child((params.eps - check.epsilon) / 4)
+    found = rep.corrected
     _crout_ec(L, U, A, n1, n2, quarter, rep)
-    r1 = slice(0, n1)
-    r2 = slice(n1, n1 + n2)
-    r3 = slice(n1 + n2, n1 + nrest)
-    # U23 from L22 . U23 = A23 - L21 . U13 (right side unevaluated),
-    # corrected as its transpose U23^T . L22^T = H^T
-    H_u = BlackboxRHS(C=Mat(ctx, A[r2, r3]),
-                      A=Mat(ctx, M[r2, r1]), B=Mat(ctx, M[r1, r3]))
-    with stage("trsmec_lower_left", quarter) as strip:
-        _correction_loop(Mat(ctx, M[r2, r3]).T, H_u.T, L.sub(n1, n2).T,
-                         quarter, strip)
-    rep.add_child(strip.transposed().shift(n1, n1 + n2))
-    # L32 from L32 . U22 = A32 - L31 . U12
-    H_l = BlackboxRHS(C=Mat(ctx, A[r3, r2]),
-                      A=Mat(ctx, M[r3, r1]), B=Mat(ctx, M[r1, r2]))
-    with stage("trsmec_upper_right", quarter) as strip:
-        _correction_loop(Mat(ctx, M[r3, r2]), H_l, U.sub(n1, n2), quarter,
-                         strip)
-    rep.add_child(strip.shift(n1 + n2, n1))
+    step = _rest_prices(ctx.q, quarter.eps, n1, n2, nrest,
+                        rep.corrected - found)
+    if step["refactor"] < step["descent"]:
+        with _rewritten("dense_node", M, n1, nrest, quarter, rep) as node:
+            node.correcting_rounds, node.stop, node.trace = 1, "dense", [step]
+            _crout_rest(L, U, A, n1, n2, nrest)
+        return
+    r1, r2, r3 = slice(0, n1), slice(n1, n1 + n2), slice(n1 + n2, n1 + nrest)
+    # the U strip from U23^T . L22^T = A23^T - U13^T . L21^T, then the L
+    # strip from L32 . U22 = A32 - L31 . U12, right sides unevaluated
+    for name, Mv, Av, T in (("trsmec_lower_left", M.T, A.T, L.T),
+                            ("trsmec_upper_right", M, A, U)):
+        H = BlackboxRHS(C=Mat(ctx, Av[r3, r2]), A=Mat(ctx, Mv[r3, r1]),
+                        B=Mat(ctx, Mv[r1, r2]))
+        with stage(name, quarter) as strip:
+            _correction_loop(Mat(ctx, Mv[r3, r2]), H, T.sub(n1, n2), quarter,
+                             strip)
+        strip.shift(n1 + n2, n1)
+        rep.add_child(strip if Mv is M else strip.transposed())
     _crout_ec(L, U, A, n1 + n2, nrest - n2, quarter, rep)
 
 
@@ -180,32 +193,65 @@ def _node_check(L, U, A, n1, ns, params):
     return rep
 
 
+def _rest_prices(q, eps, n1, n2, nrest, found):
+    """Trace record of the choice for the rest of the node on n1..n1+nrest-1
+    once its first n2 rows corrected found entries: found, settled (n2^2),
+    k, the errors expected in the rest at found less two standard deviations
+    of a Poisson count (so a few errors met by chance predict none), and the
+    prices of descending the rest, each of its strips and its second half
+    paying as _correction_loop would (a pass or dense check, then for an
+    error a round or dense solve, each the cheaper), and of refactoring it.
+    """
+    r, rho = nrest - n2, max(0.0, found - 2 * math.sqrt(found)) / n2 ** 2
+    step = dict(found=found, settled=n2 * n2, k=rho * (nrest ** 2 - n2 ** 2),
+                descent=0.0, refactor=0.0)
+    for m, n, ell, times in ((r, n2, n1, 2), (r, r, n1 + n2, 1)):
+        dense, k = dense_price(q, m, n, ell), rho * m * n
+        spent = min(dense, sparse_price(q, eps, m, n, ell))
+        if k:
+            c = -n * math.expm1(-k / n)  # columns that k errors hit
+            spent -= math.expm1(-k) * min(dense, sparse_price(
+                q, eps, m, n, ell, c, math.ceil(2 * k / c)))
+        step["descent"] += times * spent
+        step["refactor"] += times * dense
+    return step
+
+
+@contextmanager
+def _rewritten(name, M, n1, ns, params, parent):
+    """Stage name over the block of M on n1..n1+ns-1, which the with block
+    may rewrite; however it ends, the stage reports the entries that changed,
+    in M's coordinates, and joins parent."""
+    s = slice(n1, n1 + ns)
+    before = M[s, s].copy()
+    with stage(name, params) as rep:
+        rep.rounds, rep.verified, rep.dense_verified = 1, True, True
+        try:
+            yield rep
+        finally:
+            i, j = np.nonzero(M[s, s] != before)
+            rep.positions = list(zip((i + n1).tolist(), (j + n1).tolist()))
+            rep.corrected = len(rep.positions)
+            parent.add_child(rep)
+
+
 def _dense_block(ctx, M, A, n1, ns, params, parent):
     """Deterministic check of a small diagonal block; recomputes it if wrong.
 
     By the elimination order every column left of n1 is already final, so
     B = A - (L prefix).(U prefix) restricted to the block is exact, and
     L_b . U_b = B with a nonzero U_b diagonal determines both factors
-    uniquely.  A failed block is refactored from that same B by
-    _factor_leaf; the leaf joins parent even when a zero pivot raises,
-    reporting the entries that changed as one correcting round.
+    uniquely.  A failed block is refactored from B by _factor_leaf.
     """
-    with stage("dense_block", params) as rep:
-        rep.rounds, rep.verified, rep.dense_verified = 1, True, True
+    with _rewritten("dense_block", M, n1, ns, params, parent) as rep:
         s = slice(n1, n1 + ns)
-        Ms, before = M[s, s], M[s, s].copy()
+        Ms = M[s, s]
         B = ctx.sub(A[s, s], ctx.matmul(M[s, :n1], M[:n1, s]))
         LU = ctx.matmul(np.tril(Ms, -1) + np.eye(ns, dtype=np.int64),
                         np.triu(Ms))
-        try:
-            if not (Ms.diagonal().all() and np.array_equal(LU, B)):
-                rep.correcting_rounds = 1
-                _factor_leaf(ctx, Ms, B, n1)
-        finally:
-            rep.positions = list(map(tuple,
-                                     np.argwhere(Ms != before).tolist()))
-            rep.corrected = len(rep.shift(n1, n1).positions)
-            parent.add_child(rep)
+        if not (Ms.diagonal().all() and np.array_equal(LU, B)):
+            rep.correcting_rounds = 1
+            _factor_leaf(ctx, Ms, B, n1)
 
 
 def rect_ec(A, packed, U2, params):

@@ -11,6 +11,8 @@ those that came back without a value), and ext (whether theta came from
 an extension field); stop says why the loop ended: "clean" (a projection
 found no erroneous column), "dense" (a dense check or solve settled it)
 or "cap" (the round budget ran out, on the MonteCarloFailure's report).
+A dense_node report, a Crout node's rest refactored, keeps one record:
+found, settled, k, descent and refactor (see croutec._rest_prices).
 
 Every corrector opens its report with stage, which times the whole block.
 """

@@ -11,7 +11,10 @@ all errors, confirmed ones included, so before each recovery it is also
 raised to at least k' + c plus s for each located column whose recovery
 at s terms failed: each located column still holds an error, and one that
 failed at s terms holds more than s.  So s is at least 2, and a good round
-never leaves the next one asking for too few terms.
+never leaves the next one asking for too few terms.  A first pass that
+finds c of n columns bad also raises the guess to -n ln(1 - c/n), the
+linear-counting estimate (Whang, Vander-Zanden, Taylor, ACM TODS 1990),
+once that at least doubles it.
 
 The loop ends when a projection finds no erroneous column at all, which
 bounds the failure probability of the final state by the requested
@@ -94,12 +97,18 @@ _COLUMN = 5000    # per column interpolated, plus per term:
 _TERM2 = 750      # per s^2 (Berlekamp-Massey, value solve, re-check)
 _SCAN = 8         # per m s (root scan)
 _EXT = 5          # factor on the terms when theta lies in an extension
+_LIMBS = 2.6      # factor on products where PrimeField.matmul uses limbs
 
 
-def dense_price(m, n, ell):
-    """Price of one dense solve of R T = H (see dense_cheaper)."""
+def _kernel(q):
+    """Price factor of the products over GF(q) (see dense_cheaper)."""
+    return _LIMBS if 1 << 24 <= q < 1 << 31 else 1
+
+
+def dense_price(q, m, n, ell):
+    """Price of one dense solve of R T = H over GF(q) (see dense_cheaper)."""
     work = m * n * (ell + n)
-    return _CALL + min(work / 10, 32 * work ** (2 / 3))
+    return _CALL + min(work / 10, 32 * work ** (2 / 3)) * _kernel(q)
 
 
 def sparse_price(q, eps, m, n, ell, c=0, s=0):
@@ -107,13 +116,15 @@ def sparse_price(q, eps, m, n, ell, c=0, s=0):
     c > 0 bad columns the recovery round at s terms before it (see
     dense_cheaper)."""
     lam = freivalds_lambda(q, n, eps)
-    price = (2 * m * n + n * n + ell * (m + n)) * (16 + lam) / 32 + _CALL
+    read = (2 * m * n + n * n + ell * (m + n)) * (16 + lam) / 32
+    price = _CALL
     if c:
         nu = ff.extension_degree(q, m)
         terms = (_TERM2 * s * s + _SCAN * m * s) * (_EXT if nu > 1 else 1)
-        price += ((m * (n + ell) + c * (m + n + ell + c)) * (16 + 2 * s * nu)
-                  / 32 + _ROUND + c * (_COLUMN + terms))
-    return price
+        read += ((m * (n + ell) + c * (m + n + ell + c))
+                 * (16 + 2 * s * nu) / 32)
+        price += _ROUND + c * (_COLUMN + terms)
+    return price + read * _kernel(q)
 
 
 def dense_cheaper(q, eps, m, n, ell, c=0, s=0, spent=0):
@@ -130,13 +141,17 @@ def dense_cheaper(q, eps, m, n, ell, c=0, s=0, spent=0):
     Prices are in units of about 4 ns.  Both paths pay _CALL for each
     dense solve or pass.  dense_price adds the dense path's
     work = m n (ell + n) multiply-adds, evaluating H and solving against
-    T, at 1/10 unit each, or 32 / work^(1/3) once that is less.  A pass
+    T, at 1/10 unit each, or 32 / work^(1/3) once that is less; crout_ec
+    prices refactoring a node's strips and second half alike.  A pass
     reads 2mn + n^2 + ell (m + n) operand entries at (16 + lam) / 32 each,
     lam = freivalds_lambda(q, n, eps).  A recovery round pays _ROUND,
     reads m (n + ell) + c (m + n + ell + c) entries in products of 2 s nu
     rows, nu the degree of theta's field, at (16 + 2 s nu) / 32 each, and
     interpolates c columns at _COLUMN + _TERM2 s^2 + _SCAN m s each, the
-    terms times _EXT when theta lies in an extension.
+    terms times _EXT when theta lies in an extension.  Where
+    PrimeField.matmul splits its operands into limbs, 2^24 <= q < 2^31,
+    the multiply-adds and the entries read cost _LIMBS = 2.6 times as much:
+    a 1024^3 product took 0.150 s at 2^31 - 1 against 0.057 s at GF(65537).
 
     Calibration, one thread, OpenBLAS 0.3.31, numpy 2.4.6, each part timed
     alone at GF(65537) and GF(7), n = 16..1024, m = n..2n, ell = 0..n.  A
@@ -154,7 +169,7 @@ def dense_cheaper(q, eps, m, n, ell, c=0, s=0, spent=0):
     small arrays.  Summed per round, these prices matched measured rounds
     of trsm_ec_upper_right at n = 1024 to within 10-30%.
     """
-    return (dense_price(m, n, ell)
+    return (dense_price(q, m, n, ell)
             <= spent + sparse_price(q, eps, m, n, ell, c, s))
 
 
@@ -293,6 +308,12 @@ def _correction_loop(R, H, T, params, rep):
         # terms holds more than s
         again = np.intersect1d(bad, tried, assume_unique=True).size if s else 0
         k_guess = max(k_guess, k_done + c + s * again)
+        if rep.rounds == 1 and c:
+            # c of n columns hit suggest -n ln(1 - c/n) errors (linear
+            # counting), trusted once that doubles the guess
+            k_est = -n * math.log1p(-min(c, n - 0.5) / n)
+            if k_est >= 2 * k_guess:
+                k_guess = math.ceil(k_est)
         tried = bad
         step = dict(c=c, k_guess=k_guess, k_done=k_done, s=0, tried=0,
                     failed=0, ext=False)

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from eclu import croutec, mat
+from eclu import croutec, ff, mat, trsmec
 from eclu.croutec import (GrpViolation, crout_ec, crout_reference,
                           make_grp_instance, rank_deficient_ec, rect_ec)
 from eclu.ff import FieldCtx, make_ext_field, make_prime_field
@@ -755,3 +755,126 @@ def test_croutec_exact_product_with_zero_pivot_still_raises():
     with pytest.raises(GrpViolation) as err:
         crout_ec(P, A, TrsmEcParams(0.05, seed=9))
     assert err.value.index == 20
+
+
+def _dense_errors(ctx, n, k, rng):
+    """(A, truth, candidate): a GRP instance whose packed factors have k
+    wrong entries."""
+    A, L0, U0 = make_grp_instance(ctx, n, rng)
+    P = PackedLU.pack(L0.copy(), U0.copy())
+    corrupt_packed(ctx, P, k, rng)
+    return A, PackedLU.pack(L0, U0).mat.a, P
+
+
+def test_croutec_dense_errors_refactor_nodes_without_interpolation(
+        monkeypatch):
+    # a tenth of the entries wrong over GF(7): the first leaf shows the
+    # density, each node then refactors its rest as one dense_node leaf,
+    # and no strip interpolates.  Each wrong entry is reported once
+    handed = []
+
+    def spy(ctx, G, s, tab):
+        handed.append(G.shape[1])
+        return batch_interpolate(ctx, G, s, tab)
+
+    batch_interpolate = trsmec.batch_interpolate
+    monkeypatch.setattr(trsmec, "batch_interpolate", spy)
+    n = 128
+    for seed in range(3):
+        A, truth, P = _dense_errors(F7, n, n * n // 10,
+                                    np.random.default_rng(seed))
+        wrong = _differ(P.mat.a, truth)
+        _, rep = crout_ec(P, A, TrsmEcParams(0.05, seed=seed))
+        assert np.array_equal(P.mat.a, truth) and handed == []
+        assert _reported_once(rep) == wrong and rep.corrected == len(wrong)
+        nodes = [leaf for leaf in rep.iter_leaves()
+                 if leaf.stage == "dense_node"]
+        assert nodes and all(
+            leaf.stop == "dense" and leaf.correcting_rounds == 1
+            and [sorted(step) for step in leaf.trace] == [sorted(
+                ["found", "settled", "k", "descent", "refactor"])]
+            and leaf.trace[0]["refactor"] < leaf.trace[0]["descent"]
+            for leaf in nodes)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_croutec_a_few_errors_in_the_first_leaf_refactor_nothing(seed):
+    # 16 errors in a 256-by-256 candidate, the density of 256 at n = 1024,
+    # one of them in the first 16-by-16 leaf: read as a density, that one
+    # error would predict errors all over the first node.  The lower
+    # confidence bound on the count predicts none, so every node descends
+    rng = np.random.default_rng(seed)
+    n, k = 256, 16
+    A, L0, U0 = make_grp_instance(FBIG, n, rng)
+    truth = PackedLU.pack(L0, U0).mat.a
+    P = PackedLU.pack(L0.copy(), U0.copy())
+    i, j = np.divmod(rng.choice(n * n, 4 * k, replace=False), n)
+    keep = (i >= 16) | (j >= 16)
+    i, j = np.r_[3, i[keep][:k - 1]], np.r_[5, j[keep][:k - 1]]
+    P.mat.a[i, j] = FBIG.add(P.mat.a[i, j], FBIG.rand_nonzero(rng, (k,)))
+    _, rep = crout_ec(P, A, TrsmEcParams(0.05, seed=seed))
+    assert np.array_equal(P.mat.a, truth)
+    leaves = list(rep.iter_leaves())
+    assert leaves[0].stage == "dense_block" and leaves[0].positions == [(3, 5)]
+    assert all(leaf.stage != "dense_node" for leaf in leaves)
+
+
+def test_croutec_zero_pivot_inside_a_refactored_node():
+    # U0[100, 100] = 0 and a tenth of the entries wrong: the pivot lies in
+    # the rest of the root, which is refactored.  The violation names it,
+    # the leading 100 rows and columns are final, and the report, its
+    # dense_node leaf included, names every entry changed before the pivot
+    rng = np.random.default_rng(30)
+    n = 128
+    _, L0, U0 = make_grp_instance(F7, n, rng)
+    U0.a[100, 100] = 0
+    A = multiply(L0, U0)
+    truth = PackedLU.pack(L0, U0).mat.a
+    P = PackedLU.pack(L0.copy(), U0.copy())
+    corrupt_packed(F7, P, n * n // 10, rng)
+    before = P.mat.a.copy()
+    with pytest.raises(GrpViolation) as err:
+        crout_ec(P, A, TrsmEcParams(0.05, seed=30))
+    assert err.value.index == 100
+    assert np.array_equal(P.mat.a[:100, :100], truth[:100, :100])
+    rep = err.value.report
+    assert rep.children[-1].stage == "dense_node"
+    assert _reported_once(rep) == _differ(P.mat.a, before)
+    assert rep.corrected == len(_differ(P.mat.a, before))
+
+
+def test_rankdef_dense_errors_find_the_true_rank():
+    # a tenth of the factors' entries wrong: the refactored nodes meet the
+    # zero pivot at the true rank, and the strips past it are corrected
+    rng = np.random.default_rng(31)
+    m, n, r = 128, 160, 100
+    A, L0, U0 = make_grp_instance(F7, (m, n), rng, rank=r)
+    Lc, Uc = Mat(F7, L0.a.copy()), Mat(F7, U0.a.copy())
+    for M, region in ((Lc, np.tril(np.ones((m, r), bool), -1)),
+                      (Uc, np.triu(np.ones((r, n), bool)))):
+        i, j = np.nonzero(region)
+        pick = rng.choice(len(i), len(i) // 10, replace=False)
+        M.a[i[pick], j[pick]] = F7.add(M.a[i[pick], j[pick]],
+                                       F7.rand_nonzero(rng, (len(pick),)))
+    rd, L, U, rep = rank_deficient_ec(A, Lc, Uc, TrsmEcParams(0.05, seed=31))
+    assert rd == r
+    assert np.array_equal(L.a, L0.a) and np.array_equal(U.a, U0.a)
+    assert any(leaf.stage == "dense_node" for leaf in rep.iter_leaves())
+
+
+@pytest.mark.parametrize("ctx, n", [(F7, 128), (F2, 256), (FBIG, 256)],
+                         ids=["gf7", "gf2", "65537"])
+def test_croutec_dense_errors_cost_near_the_reference(ctx, n):
+    # the cost grows smoothly to that of recomputing: with a tenth of the
+    # entries wrong, correcting takes at most 1.3 times the field ops of
+    # crout_reference, counted rather than timed
+    for seed in range(3):
+        A, truth, P = _dense_errors(ctx, n, n * n // 10,
+                                    np.random.default_rng(seed))
+        ff.reset_op_count()
+        crout_ec(P, A, TrsmEcParams(0.05, seed=seed))
+        ops = ff.op_count()
+        assert np.array_equal(P.mat.a, truth)
+        ff.reset_op_count()
+        crout_reference(A)
+        assert ops <= 1.3 * ff.op_count()

@@ -276,6 +276,40 @@ def test_dense_errors_spend_at_most_one_recovery_round(p, n, monkeypatch):
         assert sum(step["tried"] for step in rep.trace) == sum(handed)
 
 
+@pytest.mark.parametrize("p", [7, 65537, 2 ** 31 - 1])
+def test_full_occupancy_raises_the_first_guess(p):
+    # k = 4n errors hit all but about e^-4 of the columns, so the first pass
+    # reads k off its occupancy, -n ln(1 - c/n) >= 2c: it goes dense at once
+    # or recovers at s >= 4, where the guess k = c alone would ask s = 2
+    ctx = make_prime_field(p)
+    n = 256
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        R, H, U, truth = dense_rhs_instance(ctx, n, rng)
+        corrupt(ctx, R, 4 * n, rng)
+        rep = trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=seed))
+        assert np.array_equal(R.a, truth)
+        first = rep.trace[0]
+        assert first["k_guess"] >= 2 * first["c"] > n
+        assert first["s"] >= 4 or (rep.stop == "dense" and rep.rounds == 1)
+
+
+@pytest.mark.parametrize("share", [8, 2])
+def test_half_occupancy_keeps_the_first_guess(share):
+    # 3 errors in each of n/share columns: at most half the columns are
+    # bad, -n ln(1 - c/n) < 2c, so the first pass keeps k = c and s = 2
+    n = 512
+    rng = np.random.default_rng(share)
+    R, H, U, truth = dense_rhs_instance(FBIG, n, rng)
+    for j in rng.choice(n, n // share, replace=False):
+        rows = rng.choice(n, 3, replace=False)
+        R.a[rows, j] = FBIG.add(R.a[rows, j], FBIG.rand_nonzero(rng, (3,)))
+    rep = trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=share))
+    assert np.array_equal(R.a, truth)
+    first = rep.trace[0]
+    assert first["c"] == first["k_guess"] == n // share and first["s"] == 2
+
+
 @pytest.mark.parametrize("ctx, k", [(FBIG, 60), (F7, 12)], ids=repr)
 def test_round_trace_records_every_pass(ctx, k):
     # one record per projected pass: the last one is clean, each recovery
@@ -432,7 +466,7 @@ def test_dense_cheaper_without_columns_is_the_narrow_system_test():
                    (2 ** 31 - 1, 0.05)):
         for m, n, ell in _SHAPES:
             entry = dense_cheaper(q, eps, m, n, ell)
-            assert entry == (dense_price(m, n, ell)
+            assert entry == (dense_price(q, m, n, ell)
                              <= sparse_price(q, eps, m, n, ell))
             if entry:
                 assert dense_cheaper(q, eps, m, n, ell, 1, 1)
@@ -440,6 +474,14 @@ def test_dense_cheaper_without_columns_is_the_narrow_system_test():
         assert dense_cheaper(q, eps, 8, 8, 0)
         assert not dense_cheaper(q, eps, 32, 32, 0)
         assert not dense_cheaper(q, eps, 512, 1024, 300)
+
+
+def test_dense_price_follows_the_kernel():
+    # products at 2^31 - 1 run on 11-bit limbs, dearer than the float64
+    # products at 65537 and 7, which cost the same
+    for m, n, ell in _SHAPES:
+        assert (dense_price(2 ** 31 - 1, m, n, ell)
+                > dense_price(65537, m, n, ell) == dense_price(7, m, n, ell))
 
 
 def test_dense_cheaper_monotone_in_columns_terms_and_spend():
@@ -542,8 +584,9 @@ def test_recovery_rounds_multiply_only_over_the_base(base, monkeypatch):
 
 
 def test_gf7_lu_at_a_tenth_wrong_stays_in_the_base_field(ext_calls):
-    # n = 128 and k = n^2/10: every strip has m >= 7 rows and goes dense
-    # after one projected round, which runs in GF(7) itself
+    # n = 128 and k = n^2/10: once the first leaf has shown how dense the
+    # errors are, the nodes refactor their rests in GF(7) itself, so no
+    # strip recovers over an extension
     rng = np.random.default_rng(24)
     A, L0, U0 = make_grp_instance(F7, 128, rng)
     P = PackedLU.pack(L0, U0)
@@ -551,7 +594,7 @@ def test_gf7_lu_at_a_tenth_wrong_stays_in_the_base_field(ext_calls):
     corrupt(F7, P.mat, 128 * 128 // 10, rng)
     _, rep = crout_ec(P, A, TrsmEcParams(0.05, seed=24))
     assert np.array_equal(P.mat.a, truth)
-    assert rep.lam > 0
+    assert any(leaf.stage == "dense_node" for leaf in rep.iter_leaves())
     assert ext_calls == {"matmul": 0, "extend": 0}
 
 
