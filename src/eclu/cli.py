@@ -19,10 +19,12 @@ from .trsmec import MonteCarloFailure
 
 
 def _field(spec):
-    parts = spec.split(",")
-    p = int(parts[0])
-    nu = int(parts[1]) if len(parts) > 1 else 1
-    return p, nu
+    """GF(p^nu) from "p" or "p,nu"; a malformed spec is a usage error."""
+    p, _, nu = spec.partition(",")
+    try:
+        return make_ext_field(int(p), int(nu or 1))
+    except ValueError as exc:  # FieldError included
+        raise argparse.ArgumentTypeError("%r: %s" % (spec, exc))
 
 
 def build_parser():
@@ -33,7 +35,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("gen", help="generate an instance with seeded errors")
-    g.add_argument("--field", default="65537", metavar="P[,NU]",
+    g.add_argument("--field", type=_field, default="65537", metavar="P[,NU]",
                    help="prime p or p,nu for GF(p^nu) (default 65537)")
     g.add_argument("--n", type=int, default=32)
     g.add_argument("--m", type=int, default=None,
@@ -61,7 +63,7 @@ def build_parser():
     v.add_argument("--out", required=True, metavar="DIR")
 
     b = sub.add_parser("bench", help="timing grid over error counts")
-    b.add_argument("--field", default="65537", metavar="P[,NU]")
+    b.add_argument("--field", type=_field, default="65537", metavar="P[,NU]")
     b.add_argument("--n", type=int, default=256)
     b.add_argument("--errors", default="1,4,16,64", metavar="K1,K2,...")
     b.add_argument("--epsilon", type=float, default=0.05)
@@ -77,14 +79,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.cmd == "gen":
-        p, nu = _field(args.field)
         try:
-            sc = Scenario(p=p, nu=nu, n=args.n, m=args.m, rank=args.rank,
-                          errors=args.errors, eps=args.epsilon,
-                          seed=args.seed, workload=args.workload)
-        except ValueError as exc:
+            sc = Scenario(p=args.field.p, nu=args.field.nu, n=args.n,
+                          m=args.m, rank=args.rank, errors=args.errors,
+                          eps=args.epsilon, seed=args.seed,
+                          workload=args.workload)
+            files = gen(sc, args.out)
+        except ValueError as exc:  # a scenario its instance cannot hold
             parser.error(str(exc))
-        files = gen(sc, args.out)
         print("wrote %d matrices to %s" % (len(files), args.out))
         return 0
 
@@ -111,10 +113,12 @@ def main(argv=None):
         return 0 if ok else 3
 
     if args.cmd == "bench":
-        ctx = make_ext_field(*_field(args.field))
         ks = [int(k) for k in args.errors.split(",") if k]
-        rows = bench_lu(ctx, args.n, ks, eps=args.epsilon, reps=args.reps,
-                        seed=args.seed)
+        if max(ks, default=0) > args.n ** 2:
+            parser.error("cannot place %d errors in an LU of %d entries"
+                         % (max(ks), args.n ** 2))
+        rows = bench_lu(args.field, args.n, ks, eps=args.epsilon,
+                        reps=args.reps, seed=args.seed)
         text = "\n".join(rows) + "\n"
         if args.out:
             with open(args.out, "w") as fh:

@@ -193,6 +193,15 @@ class PrimeField(FieldCtx):
     sadd = add
     ssub = sub
 
+    @staticmethod
+    def madd_price(p):
+        """Price of one multiply-add in matmul over GF(p), relative to its
+        float64 path, by the path matmul takes there.  One thread: a 1024^3
+        product took 0.150 s at 2^31 - 1 on the limbs against 0.057 s at
+        GF(65537), and a 256^3 product 2.11 s at 2^61 - 1 on Python ints
+        against 0.0015 s at GF(65537)."""
+        return 1 if p < 1 << 24 else 2.6 if p < 1 << 31 else 1000
+
     def matmul(self, A, B):
         """A.B mod p for residue arrays A (m-by-l) and B (l-by-n).
 
@@ -212,8 +221,9 @@ class PrimeField(FieldCtx):
            t = 2^11.  The three blocks fold back by Horner steps mod p;
          - Python ints (object dtype) for p >= 2^31.
 
-        A longer inner dimension is cut into blocks of t, whose reduced
-        products are summed mod p.
+        madd_price gives each path's price per multiply-add.  A longer
+        inner dimension is cut into blocks of t, whose reduced products are
+        summed mod p.
         """
         m, ell = A.shape
         n = B.shape[1]

@@ -130,8 +130,8 @@ def _random_upper(ctx, n, rng):
 
 def gen(scenario, outdir):
     """Write ground-truth and corrupted inputs for a scenario, and the
-    scenario itself as scenario.json."""
-    os.makedirs(outdir, exist_ok=True)
+    scenario itself as scenario.json.  A scenario its instance cannot
+    hold raises ValueError before outdir is made."""
     ctx = scenario.field()
     rng = np.random.default_rng(scenario.seed)
     n = scenario.n
@@ -192,6 +192,7 @@ def gen(scenario, outdir):
         inject_errors(rng, ctx, [(Ra.a, _full(m, n))], scenario.errors)
         mats = {"U": U, "C": multiply(R, U), "R_true": R, "R_approx": Ra}
 
+    os.makedirs(outdir, exist_ok=True)
     files = {}
     for name, M in mats.items():
         files[name] = os.path.join(outdir, name + ".mat")

@@ -8,8 +8,10 @@ from its 2s evaluations g_i = sum_j e_j * theta^(i*j):
  2. Roots are located by scanning the precomputed powers theta^0..theta^(m-1)
     (Chien-style, O(m*s) per column); the index of a root is its position
     in the table.
- 3. Values come from the transposed-Vandermonde system on the first s'
-    evaluations, solved in O(s'^2) by synthetic division against the locator.
+ 3. Values come from Forney's formula (Forney, IEEE Trans. Inf. Theory
+    1965), v = -b w(1/b) / c'(1/b) for each root b, with c the connection
+    polynomial and w = c times the first s' evaluations mod z^s'; O(s'^2)
+    per column, and no root is inverted.
  4. The candidate is re-checked against all 2s evaluations before being
     accepted; any inconsistency yields an explicit failure marker.
 
@@ -23,7 +25,6 @@ import numpy as np
 
 from . import ff
 from .blackbox import BlackboxRHS
-from .mat import Mat
 
 
 @dataclass
@@ -37,44 +38,31 @@ FAILED = None  # a column with no consistent sparse candidate
 
 
 def berlekamp_massey(ctx, seq):
-    """Minimal LFSR for seq over ctx.
+    """Minimal LFSR for seq over ctx (Massey, IEEE Trans. Inf. Theory 1969).
 
     Returns coefficients c[0..L] (c[0] = 1) with
     sum_i c[i] * seq[n - i] = 0 for all n >= L, together with L.
     """
-    n = len(seq)
-    C = [1]
-    B = [1]
-    L = 0
-    m = 1
-    b = 1
-    for i in range(n):
-        # discrepancy
+    C, B = [1], [1]  # current connection polynomial, and the last one
+    L, shift, b = 0, 1, 1  # B was current shift steps ago, discrepancy b
+    for i in range(len(seq)):
         d = seq[i]
         for j in range(1, L + 1):
-            if j < len(C) and C[j]:
-                d = ctx.sadd(d, ctx.smul(C[j], seq[i - j]))
+            d = ctx.sadd(d, ctx.smul(C[j], seq[i - j]))
         if d == 0:
-            m += 1
+            shift += 1
             continue
+        # T = C - (d / b) z^shift B
         coef = ctx.smul(d, ctx.sinv(b))
+        T = C + [0] * (len(B) + shift - len(C))
+        for j, x in enumerate(B):
+            T[j + shift] = ctx.ssub(T[j + shift], ctx.smul(coef, x))
         if 2 * L <= i:
-            T = list(C)
-            if len(C) < len(B) + m:
-                C = C + [0] * (len(B) + m - len(C))
-            for j in range(len(B)):
-                C[j + m] = ctx.ssub(C[j + m], ctx.smul(coef, B[j]))
-            L = i + 1 - L
-            B = T
-            b = d
-            m = 1
+            L, B, b, shift = i + 1 - L, C, d, 1
         else:
-            if len(C) < len(B) + m:
-                C = C + [0] * (len(B) + m - len(C))
-            for j in range(len(B)):
-                C[j + m] = ctx.ssub(C[j + m], ctx.smul(coef, B[j]))
-            m += 1
-    return C[:L + 1] + [0] * (L + 1 - len(C)), L
+            shift += 1
+        C = T
+    return C, L
 
 
 def _locator_roots(ctx, conn, L, tab):
@@ -84,40 +72,33 @@ def _locator_roots(ctx, conn, L, tab):
     is z^L + c[1] z^(L-1) + ... + c[L], whose roots are the term locations.
     Returns index list j (< m) or None if the root count is off.
     """
-    coeffs = list(conn) + [0] * (L + 1 - len(conn))
     # evaluate at every stored power with a vectorized Horner sweep
-    vals = np.full(tab.m, coeffs[0], dtype=np.int64)
+    vals = np.full(tab.m, conn[0], dtype=np.int64)
     x = tab.powers
     for i in range(1, L + 1):
-        vals = ctx.add(ctx.mul(vals, x), np.int64(coeffs[i]))
+        vals = ctx.add(ctx.mul(vals, x), np.int64(conn[i]))
     hits = np.nonzero(vals == 0)[0]
-    if len(hits) != L:
-        return None
-    return [int(j) for j in hits]
+    return [int(j) for j in hits] if len(hits) == L else None
 
 
 def _term_values(ctx, evals, roots_b, conn, L):
-    """Solve sum_t v_t * b_t^i = evals[i] for i < L via synthetic division."""
-    char = [1] + [conn[i] if i < len(conn) else 0 for i in range(1, L + 1)]
+    """Solve sum_t v_t * b_t^i = evals[i] for i < L by Forney's formula:
+    v = -b w(1/b) / c'(1/b), c = conn and w = evals . c mod z^L.  w and c'
+    have degree below L; reversed at degree L - 1, v = -b w~(b) / c'~(b)."""
+    w = [0] * L
+    for k in range(L):
+        for j in range(k + 1):
+            w[k] = ctx.sadd(w[k], ctx.smul(conn[j], evals[k - j]))
+    # -c' by its z^k coefficients -(k + 1) conn[k + 1]; Horner from k = 0
+    # evaluates the reversal of both
+    dc = [ctx.smul((-k - 1) % ctx.p, conn[k + 1]) for k in range(L)]
     values = []
     for b in roots_b:
-        # q(z) = char(z) / (z - b); Horner-style synthetic division
-        q = [0] * L
-        acc = char[0]
-        for i in range(L):
-            q[i] = acc
-            acc = ctx.sadd(char[i + 1], ctx.smul(acc, b))
-        # q coefficients are high-degree first: q[i] is the coeff of z^(L-1-i)
-        num = 0
-        den = 0
-        bp = 1
-        for i in range(L):
-            num = ctx.sadd(num, ctx.smul(q[L - 1 - i], evals[i]))
-            den = ctx.sadd(den, ctx.smul(q[L - 1 - i], bp))
-            bp = ctx.smul(bp, b)
-        if den == 0:
-            return None
-        values.append(ctx.smul(num, ctx.sinv(den)))
+        num = den = 0
+        for k in range(L):
+            num = ctx.sadd(ctx.smul(num, b), w[k])
+            den = ctx.sadd(ctx.smul(den, b), dc[k])
+        values.append(ctx.smul(ctx.smul(b, num), ctx.sinv(den)))
     return values
 
 
@@ -139,7 +120,7 @@ def interpolate_column(ctx, evals, s, tab):
         return FAILED
     roots_b = [int(tab.powers[j]) for j in hits]
     values = _term_values(ctx, evals, roots_b, conn, L)
-    if values is None or any(v == 0 for v in values):
+    if any(v == 0 for v in values):
         return FAILED
     # re-verify against every available evaluation before accepting
     cur = list(values)
@@ -163,12 +144,11 @@ def batch_interpolate(ctx, G, s, tab):
     value outside ctx is FAILED.
     """
     big = tab.ctx
-    Ga = G.a if isinstance(G, Mat) else G
     if big != ctx:
-        Ga = big.pack(Ga)
+        G = big.pack(G)
     out = []
-    for j in range(Ga.shape[1]):
-        col = interpolate_column(big, Ga[:, j], s, tab)
+    for j in range(G.shape[1]):
+        col = interpolate_column(big, G[:, j], s, tab)
         if col is not FAILED and big != ctx:
             try:
                 col.values = ff.coerce_down(
@@ -197,23 +177,15 @@ def vandermonde_cols(ctx, tab, nrows, cols):
 def apply_vandermonde(ctx, tab, nrows, M):
     """(theta^(i*j))_{i<nrows, j<m} applied to M, over M's field ctx.
 
-    M is an array, a Mat (the result is then a Mat) or a BlackboxRHS,
-    which projects V by its own project_left.  When theta's field tab.ctx
-    extends ctx, V.M is returned as its digit planes [V_0.M; ...;
-    V_{nu-1}.M] over ctx.  For an array or a Mat only the columns of V
-    that meet a nonzero row of M are built, and the product is one matmul
-    over ctx on those rows, so the cost tracks the number of nonzero rows.
+    M is an m-row array or a BlackboxRHS, which projects V by its own
+    project_left.  When theta's field tab.ctx extends ctx, V.M is returned
+    as its digit planes [V_0.M; ...; V_{nu-1}.M] over ctx.
     """
     box = isinstance(M, BlackboxRHS)
-    Ma = M.a if isinstance(M, Mat) else M
-    m = M.rows if box else Ma.shape[0]
+    m = M.rows if box else M.shape[0]
     if m > tab.m:
         raise ValueError("row dimension exceeds the power table")
-    live = np.arange(m) if box else np.nonzero(Ma.any(axis=1))[0]
-    V = vandermonde_cols(tab.ctx, tab, nrows, live)
+    V = vandermonde_cols(tab.ctx, tab, nrows, np.arange(m))
     if tab.ctx != ctx:
         V = tab.ctx.planes(V)
-    if box:
-        return M.project_left(V).a
-    out = ctx.matmul(V, Ma if len(live) == m else Ma[live])
-    return Mat(ctx, out) if isinstance(M, Mat) else out
+    return M.project_left(V).a if box else ctx.matmul(V, M)

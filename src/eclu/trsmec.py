@@ -97,18 +97,13 @@ _COLUMN = 5000    # per column interpolated, plus per term:
 _TERM2 = 750      # per s^2 (Berlekamp-Massey, value solve, re-check)
 _SCAN = 8         # per m s (root scan)
 _EXT = 5          # factor on the terms when theta lies in an extension
-_LIMBS = 2.6      # factor on products where PrimeField.matmul uses limbs
-
-
-def _kernel(q):
-    """Price factor of the products over GF(q) (see dense_cheaper)."""
-    return _LIMBS if 1 << 24 <= q < 1 << 31 else 1
 
 
 def dense_price(q, m, n, ell):
     """Price of one dense solve of R T = H over GF(q) (see dense_cheaper)."""
     work = m * n * (ell + n)
-    return _CALL + min(work / 10, 32 * work ** (2 / 3)) * _kernel(q)
+    return (_CALL + min(work / 10, 32 * work ** (2 / 3))
+            * ff.PrimeField.madd_price(q))
 
 
 def sparse_price(q, eps, m, n, ell, c=0, s=0):
@@ -124,7 +119,7 @@ def sparse_price(q, eps, m, n, ell, c=0, s=0):
         read += ((m * (n + ell) + c * (m + n + ell + c))
                  * (16 + 2 * s * nu) / 32)
         price += _ROUND + c * (_COLUMN + terms)
-    return price + read * _kernel(q)
+    return price + read * ff.PrimeField.madd_price(q)
 
 
 def dense_cheaper(q, eps, m, n, ell, c=0, s=0, spent=0):
@@ -148,10 +143,9 @@ def dense_cheaper(q, eps, m, n, ell, c=0, s=0, spent=0):
     reads m (n + ell) + c (m + n + ell + c) entries in products of 2 s nu
     rows, nu the degree of theta's field, at (16 + 2 s nu) / 32 each, and
     interpolates c columns at _COLUMN + _TERM2 s^2 + _SCAN m s each, the
-    terms times _EXT when theta lies in an extension.  Where
-    PrimeField.matmul splits its operands into limbs, 2^24 <= q < 2^31,
-    the multiply-adds and the entries read cost _LIMBS = 2.6 times as much:
-    a 1024^3 product took 0.150 s at 2^31 - 1 against 0.057 s at GF(65537).
+    terms times _EXT when theta lies in an extension.  The multiply-adds
+    and the entries read cost ff.PrimeField.madd_price(q) times as much as
+    at GF(65537): the price of the path PrimeField.matmul takes over GF(q).
 
     Calibration, one thread, OpenBLAS 0.3.31, numpy 2.4.6, each part timed
     alone at GF(65537) and GF(7), n = 16..1024, m = n..2n, ell = 0..n.  A

@@ -250,6 +250,21 @@ def test_cli_gen_rejects_fields_its_workload_ignores(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--field", "abc"], ["gen", "--field", "8"],
+    ["gen", "--field", "7,x"], ["bench", "--field", "9"],
+    ["gen", "--n", "4", "--errors", "100"],
+    ["bench", "--n", "8", "--errors", "100"]], ids="_".join)
+def test_cli_malformed_input_is_a_usage_error(argv, tmp_path):
+    out = tmp_path / "x"
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_correct_recovers_ground_truth(tmp_path):
     sc = Scenario(p=65537, n=24, errors=6, seed=12, workload="lu")
     d = str(tmp_path / "gt")

@@ -484,6 +484,23 @@ def test_dense_price_follows_the_kernel():
                 > dense_price(65537, m, n, ell) == dense_price(7, m, n, ell))
 
 
+def test_python_int_kernel_prices_above_the_limbs():
+    # at p >= 2^31 PrimeField.matmul multiplies Python ints, far dearer than
+    # the limbs below 2^31; so two wrong entries of a 64-square system are
+    # recovered in one round where a dense solve would cost more
+    for m, n, ell in _SHAPES:
+        assert (dense_price(2 ** 61 - 1, m, n, ell)
+                > dense_price(2 ** 31 - 1, m, n, ell))
+    F = make_prime_field(2 ** 61 - 1)
+    rng = np.random.default_rng(61)
+    R, H, U = make_right_instance(F, 64, 64, 0, rng)
+    truth = R.a.copy()
+    corrupt(F, R, 2, rng)
+    rep = trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=61))
+    assert rep.stop == "clean" and rep.corrected == 2
+    assert np.array_equal(R.a, truth)
+
+
 def test_dense_cheaper_monotone_in_columns_terms_and_spend():
     # more bad columns, more terms per column or more sparse work already
     # spent never favour the sparse path; any bad column adds recovery work
