@@ -15,16 +15,28 @@ import sys
 
 from .ff import make_ext_field
 from .harness import WORKLOADS, Scenario, bench_lu, correct, gen, verify
-from .trsmec import MonteCarloFailure
+from .trsmec import MonteCarloFailure, TrsmEcParams
 
 
+def _usage(parse):
+    """parse as an argparse type; its ValueError is a usage error."""
+    def typed(spec):
+        try:
+            return parse(spec)
+        except ValueError as exc:  # FieldError included
+            raise argparse.ArgumentTypeError("%r: %s" % (spec, exc))
+    return typed
+
+
+# GF(p^nu) from "p" or "p,nu"; a failure bound in (0, 1); counts "K1,K2,..."
+@_usage
 def _field(spec):
-    """GF(p^nu) from "p" or "p,nu"; a malformed spec is a usage error."""
     p, _, nu = spec.partition(",")
-    try:
-        return make_ext_field(int(p), int(nu or 1))
-    except ValueError as exc:  # FieldError included
-        raise argparse.ArgumentTypeError("%r: %s" % (spec, exc))
+    return make_ext_field(int(p), int(nu or 1))
+
+
+_epsilon = _usage(lambda spec: TrsmEcParams(float(spec)).eps)
+_counts = _usage(lambda spec: [int(k) for k in spec.split(",") if k])
 
 
 def build_parser():
@@ -43,7 +55,7 @@ def build_parser():
     g.add_argument("--rank", type=int, default=None,
                    help="target rank for the rankdef workload")
     g.add_argument("--errors", type=int, default=1, metavar="K")
-    g.add_argument("--epsilon", type=float, default=0.05, metavar="E")
+    g.add_argument("--epsilon", type=_epsilon, default=0.05, metavar="E")
     g.add_argument("--seed", type=int, default=0, metavar="S")
     g.add_argument("--workload", choices=WORKLOADS, default="lu")
     g.add_argument("--out", required=True, metavar="DIR")
@@ -51,7 +63,7 @@ def build_parser():
     c = sub.add_parser("correct", help="correct a generated instance")
     c.add_argument("--out", required=True, metavar="DIR",
                    help="directory written by gen")
-    c.add_argument("--epsilon", type=float, default=None,
+    c.add_argument("--epsilon", type=_epsilon, default=None,
                    help="override the generated failure bound")
     c.add_argument("--seed", type=int, default=None,
                    help="override the correction seed")
@@ -65,8 +77,9 @@ def build_parser():
     b = sub.add_parser("bench", help="timing grid over error counts")
     b.add_argument("--field", type=_field, default="65537", metavar="P[,NU]")
     b.add_argument("--n", type=int, default=256)
-    b.add_argument("--errors", default="1,4,16,64", metavar="K1,K2,...")
-    b.add_argument("--epsilon", type=float, default=0.05)
+    b.add_argument("--errors", type=_counts, default="1,4,16,64",
+                   metavar="K1,K2,...")
+    b.add_argument("--epsilon", type=_epsilon, default=0.05)
     b.add_argument("--reps", type=int, default=5)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", default=None, metavar="CSV",
@@ -113,11 +126,10 @@ def main(argv=None):
         return 0 if ok else 3
 
     if args.cmd == "bench":
-        ks = [int(k) for k in args.errors.split(",") if k]
-        if max(ks, default=0) > args.n ** 2:
+        if max(args.errors, default=0) > args.n ** 2:
             parser.error("cannot place %d errors in an LU of %d entries"
-                         % (max(ks), args.n ** 2))
-        rows = bench_lu(args.field, args.n, ks, eps=args.epsilon,
+                         % (max(args.errors), args.n ** 2))
+        rows = bench_lu(args.field, args.n, args.errors, eps=args.epsilon,
                         reps=args.reps, seed=args.seed)
         text = "\n".join(rows) + "\n"
         if args.out:

@@ -27,9 +27,9 @@ import numpy as np
 from .blackbox import BlackboxRHS
 from .mat import _BLOCK_CHECK, DimensionError, Mat, PackedLU, Tri
 from .report import stage
-from .trsmec import (TrsmEcParams, _correction_loop, dense_price,
-                     freivalds_lambda, sparse_price, trsm_ec_lower_left,
-                     trsm_ec_upper_right)
+from .trsmec import (TrsmEcParams, _correction_loop, _trsm_ec_right,
+                     dense_price, freivalds_lambda, sparse_price,
+                     trsm_ec_lower_left, trsm_ec_upper_right)
 
 
 class GrpViolation(ValueError):
@@ -109,20 +109,26 @@ def crout_ec(packed, A, params):
     the largest of its stages.  Raises GrpViolation, carrying the report,
     when A has a zero pivot.
     """
+    return packed, _crout_ec_roots(packed, A, params)[2]
+
+
+def _crout_ec_roots(packed, A, params):
+    """crout_ec, returning packed's root triangles L and U, whose stores
+    hold the call's block inverses, all of final blocks, and the report."""
     params = TrsmEcParams.with_generator(params)
     if A.rows != A.cols or packed.n != A.rows:
         raise DimensionError("candidate and input sizes disagree")
     ctx = A.ctx
+    L, U = packed.lower_tri(), packed.upper_tri()
     with stage("croutec", params) as rep:
         # the only range checks: the candidate in place, the input by a copy
         ctx.canonical(packed.mat.a, in_place=True)
         try:
-            _crout_ec(packed.lower_tri(), packed.upper_tri(),
-                      ctx.canonical(A.a), 0, A.rows, params, rep)
+            _crout_ec(L, U, ctx.canonical(A.a), 0, A.rows, params, rep)
         except GrpViolation as err:
             err.report = rep
             raise
-    return packed, rep
+    return L, U, rep
 
 
 def _crout_ec(L, U, A, n1, nrest, params, rep):
@@ -268,13 +274,14 @@ def rect_ec(A, packed, U2, params):
     if packed.n != m or U2.shape != (m, n - m):
         raise DimensionError("candidate shapes disagree with A")
     with stage("rect_ec", params) as rep:
-        _, sub = crout_ec(packed, A.view(0, 0, m, m),
-                          params.child(params.eps / 2))
+        L, _, sub = _crout_ec_roots(packed, A.view(0, 0, m, m),
+                                    params.child(params.eps / 2))
         rep.add_child(sub)
-        if n > m:
-            rep.add_child(trsm_ec_lower_left(
-                U2, BlackboxRHS(C=A.view(0, m, m, n - m)), packed.lower_tri(),
-                params.child(params.eps / 2)).shift(0, m))
+        if n > m:  # L.U2 = A2, run as U2^T.L^T = A2^T
+            rep.add_child(_trsm_ec_right(
+                U2.T, BlackboxRHS(C=A.view(0, m, m, n - m)).T, L.T,
+                params.child(params.eps / 2),
+                "trsmec_lower_left").transposed().shift(0, m))
     return packed, U2, rep
 
 

@@ -68,6 +68,7 @@ class Scenario:
     def __post_init__(self):
         if self.workload not in _IDENTITIES:
             raise ValueError("unknown workload %r" % self.workload)
+        TrsmEcParams(self.eps)  # a failure bound outside (0, 1) raises
         # a field the workload ignores would record a shape it does not have
         if self.m is not None and self.workload in ("lu", "trinv"):
             raise ValueError("workload %r takes no m" % self.workload)

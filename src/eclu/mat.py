@@ -16,13 +16,15 @@ _BLOCK_CHECK rows (the Crout leaf), which are inverted by repeated
 squaring.  A Tri stores the inverses it builds, halves included, keyed by
 kind, absolute offset and size, for as long as it lives, and its
 sub-triangles and transposes share that store, so a block whose halves a
-Crout level has already solved against costs two products.  A stored
-inverse is never rebuilt, so a sub-triangle may only be solved against
-once its block is final: crout_ec and crout_reference solve against a
-diagonal block only after that block's subtree has returned, and nothing
-writes into it afterwards (node checks only multiply by sub-triangles and
-Crout leaves only eliminate, neither reads an inverse).  Every other Tri
-starts an empty store.
+Crout level has already solved against costs two products; a block
+missing under one kind is read as the transpose of the other's entry.  A
+stored inverse is never rebuilt, so a sub-triangle may only be solved
+against once its block is final: crout_ec and crout_reference solve
+against a diagonal block only after that block's subtree has returned, and
+nothing writes into it afterwards (node checks only multiply by
+sub-triangles and Crout leaves only eliminate, neither reads an inverse).
+The pipelines after crout_ec solve against its root triangles, stores
+included; every other Tri starts an empty store.
 """
 
 import numpy as np
@@ -142,8 +144,8 @@ class Tri:
 
     @property
     def T(self):
-        other = "lower" if self.kind == "upper" else "upper"
-        return self._like(self.ctx, self.a.T, other, self._inv, self._off)
+        return self._like(self.ctx, self.a.T, _OTHER[self.kind], self._inv,
+                          self._off)
 
     def sub(self, o, n):
         """The diagonal sub-triangle on indices o..o+n-1, sharing the store.
@@ -223,6 +225,9 @@ class Tri:
         inv = self._inv.get(key)
         if inv is not None:
             return inv
+        inv = self._inv.get((_OTHER[self.kind], self._off + o, b))
+        if inv is not None:  # built through the transpose
+            return inv.T
         ctx, a = self.ctx, self.a
         if b <= _BLOCK_CHECK:
             inv = _inverse(ctx, a[o:o + b, o:o + b], self.kind, self.unit)
@@ -255,6 +260,7 @@ _PANEL = 128
 # inverts.
 _EYE = np.eye(_PANEL, dtype=np.int64)
 _STRICT = {"upper": np.triu(_EYE == 0), "lower": np.tril(_EYE == 0)}
+_OTHER = {"upper": "lower", "lower": "upper"}
 for _mask in (_EYE, *_STRICT.values()):
     _mask.flags.writeable = False
 

@@ -10,17 +10,17 @@ Two pipelines for X.A = B with A square invertible GRP:
 Correcting the candidate inverse R is correcting R.U = I, with the identity
 as a blackbox right-hand side.
 
-Each stage gets a third of the failure budget.
+Each stage gets a third of the failure budget, and the stages after
+crout_ec solve against the triangles it corrected, with their inverses.
 """
 
 from dataclasses import dataclass
 
 from .blackbox import BlackboxRHS
-from .croutec import crout_ec
+from .croutec import _crout_ec_roots
 from .mat import DimensionError, Mat, PackedLU
 from .report import stage
-from .trsmec import (TrsmEcParams, _as_tri, _trsm_ec_right,
-                     trsm_ec_lower_right, trsm_ec_upper_right)
+from .trsmec import TrsmEcParams, _as_tri, _trsm_ec_right
 
 
 @dataclass
@@ -50,17 +50,14 @@ def solve_small_rhs(bundle, params=None):
     _check_shapes(bundle.A, bundle.B, bundle.lu_candidate)
     with stage("solve_small_rhs", params) as rep:
         B = _canonical_rhs(bundle)
-        packed, sub = crout_ec(bundle.lu_candidate, bundle.A,
-                               params.child(params.eps / 3))
+        third = params.child(params.eps / 3)
+        L, U, sub = _crout_ec_roots(bundle.lu_candidate, bundle.A, third)
         rep.add_child(sub)
-        rep.add_child(trsm_ec_upper_right(bundle.Y_candidate,
-                                          BlackboxRHS(C=B),
-                                          packed.upper_tri(),
-                                          params.child(params.eps / 3)))
-        rep.add_child(trsm_ec_lower_right(bundle.X_candidate,
-                                          BlackboxRHS(C=bundle.Y_candidate),
-                                          packed.lower_tri(),
-                                          params.child(params.eps / 3)))
+        rep.add_child(_trsm_ec_right(bundle.Y_candidate, BlackboxRHS(C=B), U,
+                                     third, "trsmec_upper_right"))
+        rep.add_child(_trsm_ec_right(bundle.X_candidate,
+                                     BlackboxRHS(C=bundle.Y_candidate), L,
+                                     third, "trsmec_lower_right"))
     return bundle.X_candidate, rep
 
 
@@ -74,16 +71,16 @@ def solve_large_rhs(bundle, params=None):
         raise DimensionError("inverse candidate must be n-by-n")
     with stage("solve_large_rhs", params) as rep:
         B = _canonical_rhs(bundle)
-        packed, sub = crout_ec(bundle.lu_candidate, bundle.A,
-                               params.child(params.eps / 3))
+        third = params.child(params.eps / 3)
+        L, U, sub = _crout_ec_roots(bundle.lu_candidate, bundle.A, third)
         rep.add_child(sub)
-        rep.add_child(tr_inv_ec(bundle.Rinv_candidate, packed.upper_tri(),
-                                params.child(params.eps / 3)))
+        rep.add_child(_trsm_ec_right(bundle.Rinv_candidate,
+                                     BlackboxRHS(C=Mat.identity(B.ctx, n)), U,
+                                     third, "tr_inv_ec"))
         # X.L = B.R, with the product right-hand side left unevaluated
         H = BlackboxRHS(A=B, B=bundle.Rinv_candidate, sign=+1)
-        rep.add_child(trsm_ec_lower_right(bundle.X_candidate, H,
-                                          packed.lower_tri(),
-                                          params.child(params.eps / 3)))
+        rep.add_child(_trsm_ec_right(bundle.X_candidate, H, L, third,
+                                     "trsmec_lower_right"))
     return bundle.X_candidate, rep
 
 
@@ -99,7 +96,7 @@ def tr_inv_ec(R, U, params):
     if R.shape != (n, n):
         raise DimensionError("candidate inverse must match U")
     return _trsm_ec_right(R, BlackboxRHS(C=Mat.identity(R.ctx, n)),
-                          _as_tri(U, "upper"), params, "tr_inv_ec")
+                          _as_tri(U, "upper", R.ctx), params, "tr_inv_ec")
 
 
 def _canonical_rhs(bundle):

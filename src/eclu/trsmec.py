@@ -178,40 +178,42 @@ def trsm_ec_upper_right(R, H, U, params):
     R is m-by-n, H an m-by-n BlackboxRHS, U an invertible upper-triangular
     Tri (or square Mat); params is a TrsmEcParams or a bare failure bound.
     """
-    return _trsm_ec_right(R, H, _as_tri(U, "upper"), params,
+    return _trsm_ec_right(R, H, _as_tri(U, "upper", R.ctx), params,
                           "trsmec_upper_right")
 
 
 def trsm_ec_lower_right(R, H, L, params):
     """Correct R in place so that R.L = H."""
-    return _trsm_ec_right(R, H, _as_tri(L, "lower"), params,
+    return _trsm_ec_right(R, H, _as_tri(L, "lower", R.ctx), params,
                           "trsmec_lower_right")
 
 
 def trsm_ec_lower_left(R, H, L, params):
     """Correct R in place so that L.R = H, run as R^T.L^T = H^T."""
-    return _trsm_ec_right(R.T, H.T, _as_tri(L, "lower").T, params,
+    return _trsm_ec_right(R.T, H.T, _as_tri(L, "lower", R.ctx).T, params,
                           "trsmec_lower_left").transposed()
 
 
 def trsm_ec_upper_left(R, H, U, params):
     """Correct R in place so that U.R = H, run as R^T.U^T = H^T."""
-    return _trsm_ec_right(R.T, H.T, _as_tri(U, "upper").T, params,
+    return _trsm_ec_right(R.T, H.T, _as_tri(U, "upper", R.ctx).T, params,
                           "trsmec_upper_left").transposed()
 
 
-def _as_tri(T, kind):
-    if isinstance(T, Tri):
-        if T.kind != kind:
-            raise ValueError("expected a %s triangle" % kind)
-        return T
-    return Tri(T, kind)
+def _as_tri(T, kind, ctx):
+    """A caller's Tri or square Mat T as a Tri over ctx with an empty store,
+    since the caller may have changed T since it stored an inverse."""
+    if isinstance(T, Tri) and T.kind != kind:
+        raise ValueError("expected a %s triangle" % kind)
+    return Tri(Mat(ctx, T.a), kind, isinstance(T, Tri) and T.unit)
 
 
 def _trsm_ec_right(R, H, T, params, name):
-    """Entry of the four public variants and tr_inv_ec: checks shapes,
-    operand ranges and T's diagonal once, then runs the correction loop on
-    R.T = H in a stage named name, which it returns."""
+    """Entry of the four public variants, tr_inv_ec and the pipelines:
+    checks shapes, operand ranges and T's diagonal once, then runs the
+    correction loop on R.T = H in a stage named name, which it returns.
+    The public entries hand on T with an empty store (_as_tri), and
+    solve_small_rhs, solve_large_rhs and rect_ec their crout_ec's roots."""
     params = TrsmEcParams.with_generator(params)
     m, n = R.shape
     if H.rows != m or H.cols != n:
@@ -224,7 +226,7 @@ def _trsm_ec_right(R, H, T, params, name):
         # the candidate is reduced in place, the inputs through reduced copies
         R.ctx.canonical(R.a, in_place=True)
         H = H.canonical()
-        T = Tri(Mat(R.ctx, R.ctx.canonical(T.a)), T.kind, T.unit)
+        T.a = R.ctx.canonical(T.a)  # same elements: its inverses hold
         if m and n:
             T.check_invertible()
         _correction_loop(R, H, T, params, rep)

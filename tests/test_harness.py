@@ -254,7 +254,11 @@ def test_cli_gen_rejects_fields_its_workload_ignores(tmp_path):
     ["gen", "--field", "abc"], ["gen", "--field", "8"],
     ["gen", "--field", "7,x"], ["bench", "--field", "9"],
     ["gen", "--n", "4", "--errors", "100"],
-    ["bench", "--n", "8", "--errors", "100"]], ids="_".join)
+    ["bench", "--n", "8", "--errors", "100"],
+    ["gen", "--epsilon", "2"], ["gen", "--epsilon", "0"],
+    ["gen", "--epsilon", "x"], ["correct", "--out", "x", "--epsilon", "1"],
+    ["bench", "--epsilon", "-0.5"], ["bench", "--errors", "1,abc"]],
+    ids="_".join)
 def test_cli_malformed_input_is_a_usage_error(argv, tmp_path):
     out = tmp_path / "x"
     if argv[0] == "gen":
@@ -263,6 +267,20 @@ def test_cli_malformed_input_is_a_usage_error(argv, tmp_path):
         main(argv)
     assert exc.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", [0, 1, 2, -0.5])
+def test_scenario_failure_bound_lies_in_the_unit_interval(eps, tmp_path):
+    with pytest.raises(ValueError, match="failure bound"):
+        Scenario(p=65537, n=4, eps=eps)
+    # a hand-written scenario.json fails as it loads, before any corrector
+    d = tmp_path / "sc"
+    gen(Scenario(p=65537, n=4), str(d))
+    path = d / "scenario.json"
+    fields = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(fields, eps=eps)))
+    with pytest.raises(ValueError, match="failure bound"):
+        Scenario.from_file(str(path))
 
 
 def test_correct_recovers_ground_truth(tmp_path):

@@ -265,6 +265,34 @@ def test_block_inverse_inverts_its_block(ctx):
                                           np.eye(b, dtype=np.int64))
 
 
+@pytest.mark.parametrize("ctx", INV_FIELDS, ids=repr)
+def test_block_inverse_reads_the_transposes_entry(ctx, monkeypatch):
+    # a store filled through T answers T.T, and its sub-triangles, with the
+    # transpose of each entry, inverting nothing more
+    rng = np.random.default_rng(ctx.q % 1033)
+    size = 60
+    leaves = []
+    inverse = mat._inverse
+
+    def counting_inverse(*args):
+        leaves.append(args)
+        return inverse(*args)
+
+    monkeypatch.setattr(mat, "_inverse", counting_inverse)
+    for kind in ("upper", "lower"):
+        for unit in (False, True):
+            a, _ = tri_operand(ctx, size, kind, unit, rng)
+            for b in INV_SIZES:
+                for o in (0, 5, size - b):
+                    T = Tri(Mat(ctx, a), kind, unit=unit)
+                    X = T._block_inverse(o, b)
+                    leaves.clear()
+                    assert np.array_equal(T.T._block_inverse(o, b), X.T)
+                    assert np.array_equal(
+                        T.T.sub(o, b)._block_inverse(0, b), X.T)
+                    assert leaves == []
+
+
 def test_block_inverse_from_stored_halves_takes_two_products(monkeypatch):
     # a field of its own, so that the counter leaves the shared one alone
     ctx = ff.PrimeField(2 ** 31 - 1)

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from eclu import mat
 from eclu.blackbox import BlackboxRHS
 from eclu.croutec import (crout_reference, make_grp_instance,
                           rank_deficient_ec, rect_ec)
@@ -48,6 +49,25 @@ def make_solve_instance(ctx, n, m, rng):
     Y = Mat(ctx, B.a.copy())
     P.upper_tri().solve_right(Y.a)
     return A, B, P, Y, X
+
+
+def leaf_inversions(monkeypatch, buf):
+    """The list that mat._inverse fills with (unit, offset, size) of each
+    diagonal leaf of the square buffer buf it inverts, in either
+    orientation."""
+    n, built = buf.shape[0], []
+    inverse = mat._inverse
+
+    def counting_inverse(ctx, a, kind, unit):
+        if np.shares_memory(a, buf):
+            elems = (a.__array_interface__["data"][0]
+                     - buf.__array_interface__["data"][0]) // buf.itemsize
+            assert elems % (n + 1) == 0
+            built.append((unit, elems // (n + 1), a.shape[0]))
+        return inverse(ctx, a, kind, unit)
+
+    monkeypatch.setattr(mat, "_inverse", counting_inverse)
+    return built
 
 
 def test_tr_inv_clean():
@@ -281,3 +301,67 @@ def test_unreduced_entries_are_reduced(p):
                           X_candidate=X, eps=0.05)
         out, _ = solve(bundle, TrsmEcParams(0.05, seed=2))
         assert np.array_equal(out.a, truth)
+
+
+F31 = make_prime_field(2 ** 31 - 1)
+
+
+@pytest.mark.parametrize("pipeline", ["large", "small", "rect"])
+def test_pipelines_solve_against_crout_ecs_inverses(pipeline, monkeypatch):
+    # the stages after crout_ec solve against the triangles it corrected,
+    # so no leaf of the packed buffer is inverted twice in one call
+    rng = np.random.default_rng(31)
+    n = 192
+    if pipeline == "rect":
+        A, L0, U0 = make_grp_instance(F31, (n, n + 40), rng)
+        P = PackedLU.pack(Mat(F31, L0.a), Mat(F31, U0.a[:, :n]))
+        U2 = Mat(F31, U0.a[:, n:].copy())
+        truth = np.hstack([P.mat.a, U2.a])
+        corrupt(F31, P.mat.a, 24, rng)
+        corrupt(F31, U2.a, 8, rng)
+        built = leaf_inversions(monkeypatch, P.mat.a)
+        rect_ec(A, P, U2, TrsmEcParams(0.05, seed=32))
+        assert np.array_equal(np.hstack([P.mat.a, U2.a]), truth)
+    else:
+        m = n if pipeline == "large" else 8
+        A, B, P, Y, X = make_solve_instance(F31, n, m, rng)
+        truth = X.a.copy()
+        if pipeline == "large":
+            Y = upper_inverse(F31, P.upper_tri())
+        for cand, k in ((P.mat.a, 24), (Y.a, 8), (X.a, 8)):
+            corrupt(F31, cand, k, rng)
+        built = leaf_inversions(monkeypatch, P.mat.a)
+        if pipeline == "large":
+            solve_large_rhs(LargeRhsBundle(A, B, P, Y, X, 0.05),
+                            TrsmEcParams(0.05, seed=32))
+        else:
+            solve_small_rhs(SmallRhsBundle(A, B, P, Y, X, 0.05),
+                            TrsmEcParams(0.05, seed=32))
+        assert np.array_equal(X.a, truth)
+    assert built and len(built) == len(set(built))
+
+
+@pytest.mark.parametrize("entry", ["trsm_ec_upper_right", "tr_inv_ec"])
+def test_public_entries_build_their_own_inverses(entry):
+    # a caller's Tri whose store holds the inverse of a block that the
+    # caller then overwrote: the public entries never read that store
+    rng = np.random.default_rng(33)
+    n = 96
+    U = rand_upper(F31, n, rng)
+    U.solve_right(F31.rand(rng, (2, n)))
+    assert U._inv
+    U.a[40:56, 40:56] = rand_upper(F31, 16, rng).a
+    fresh = Tri(Mat(F31, U.a.copy()), "upper")
+    if entry == "tr_inv_ec":
+        truth = upper_inverse(F31, fresh)
+        R = Mat(F31, truth.a.copy())
+        corrupt(F31, R.a, 12, rng)
+        tr_inv_ec(R, U, TrsmEcParams(0.05, seed=34))
+    else:
+        truth = Mat(F31, F31.rand(rng, (40, n)))
+        C = Mat(F31, fresh.mul_right(truth.a))
+        R = Mat(F31, truth.a.copy())
+        corrupt(F31, R.a, 12, rng)
+        trsm_ec_upper_right(R, BlackboxRHS(C=C), U,
+                            TrsmEcParams(0.05, seed=34))
+    assert np.array_equal(R.a, truth.a)
