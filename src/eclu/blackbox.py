@@ -7,7 +7,7 @@ proportional to the sizes of the factors rather than of H itself.
 
 import numpy as np
 
-from .mat import DimensionError, Mat
+from .mat import DimensionError, Mat, check_fields
 
 
 class BlackboxRHS:
@@ -42,6 +42,7 @@ class BlackboxRHS:
             raise DimensionError("C and A.B have different shapes")
         self.rows, self.cols = shapes[0]
         self.ctx = C.ctx if C is not None else A.ctx
+        check_fields(*(x for x in (C, A, B) if x is not None))
 
     @property
     def inner(self):

@@ -25,22 +25,21 @@ from contextlib import contextmanager
 import numpy as np
 
 from .blackbox import BlackboxRHS
-from .mat import _BLOCK_CHECK, DimensionError, Mat, PackedLU, Tri
+from .mat import _BLOCK_CHECK, DimensionError, Mat, PackedLU, check_fields
 from .report import stage
 from .trsmec import (TrsmEcParams, _correction_loop, _trsm_ec_right,
-                     dense_price, freivalds_lambda, sparse_price,
-                     trsm_ec_lower_left, trsm_ec_upper_right)
+                     dense_price, freivalds_lambda, sparse_price)
 
 
 class GrpViolation(ValueError):
     """Zero pivot, at position index, met where the input was asserted GRP;
     raised by crout_ec, report is its report, holding the corrections made
-    before the pivot."""
+    before the pivot, and roots the pair _crout_ec_roots returns."""
 
     def __init__(self, index):
         super().__init__("zero pivot at index %d" % index)
         self.index = index
-        self.report = None
+        self.report = self.roots = None
 
 
 def crout_reference(A):
@@ -118,6 +117,7 @@ def _crout_ec_roots(packed, A, params):
     params = TrsmEcParams.with_generator(params)
     if A.rows != A.cols or packed.n != A.rows:
         raise DimensionError("candidate and input sizes disagree")
+    check_fields(packed, A)
     ctx = A.ctx
     L, U = packed.lower_tri(), packed.upper_tri()
     with stage("croutec", params) as rep:
@@ -126,7 +126,7 @@ def _crout_ec_roots(packed, A, params):
         try:
             _crout_ec(L, U, ctx.canonical(A.a), 0, A.rows, params, rep)
         except GrpViolation as err:
-            err.report = rep
+            err.report, err.roots = rep, (L, U)
             raise
     return L, U, rep
 
@@ -236,8 +236,7 @@ def _rewritten(name, M, n1, ns, params, parent):
             yield rep
         finally:
             i, j = np.nonzero(M[s, s] != before)
-            rep.positions = list(zip((i + n1).tolist(), (j + n1).tolist()))
-            rep.corrected = len(rep.positions)
+            rep.record(i + n1, j + n1)
             parent.add_child(rep)
 
 
@@ -300,6 +299,7 @@ def rank_deficient_ec(A, L_cand, U_cand, params):
     r_hat = L_cand.cols
     if L_cand.rows != m or U_cand.cols != n or U_cand.rows != r_hat:
         raise DimensionError("candidate shapes disagree with A")
+    check_fields(A, L_cand, U_cand)
     d = min(m, n)
     with stage("rank_deficient_ec", params) as rep:
         # one m-by-n buffer: L below the diagonal, U on and above it, zero
@@ -310,25 +310,25 @@ def rank_deficient_ec(A, L_cand, U_cand, params):
         M[:, :r_hat] += np.tril(L_cand.a[:, :n], -1)
         ctx.canonical(M, in_place=True)
         A = Mat(ctx, ctx.canonical(A.a))
+        third = params.child(params.eps / 3)
         try:
-            _, sub = crout_ec(PackedLU(Mat(ctx, M[:d, :d])),
-                              A.view(0, 0, d, d), params.child(params.eps / 3))
+            L, U, sub = _crout_ec_roots(PackedLU(Mat(ctx, M[:d, :d])),
+                                        A.view(0, 0, d, d), third)
             r = d
         except GrpViolation as stop:
-            r, sub = stop.index, stop.report
+            r, sub, (L, U) = stop.index, stop.report, stop.roots
         rep.add_child(sub)
 
         # the U strip right of r and the L strip below it, corrected in place
-        if n > r:
-            rep.add_child(trsm_ec_lower_left(
-                Mat(ctx, M[:r, r:]), BlackboxRHS(C=A.view(0, r, r, n - r)),
-                Tri(Mat(ctx, M[:r, :r]), "lower", unit=True),
-                params.child(params.eps / 3)).shift(0, r))
-        if m > r:
-            rep.add_child(trsm_ec_upper_right(
+        if n > r:  # L11.U12 = A12, run as U12^T.L11^T = A12^T
+            rep.add_child(_trsm_ec_right(
+                Mat(ctx, M[:r, r:]).T, BlackboxRHS(C=A.view(0, r, r, n - r)).T,
+                L.sub(0, r).T, third, "trsmec_lower_left").transposed()
+                .shift(0, r))
+        if m > r:  # L21.U11 = A21
+            rep.add_child(_trsm_ec_right(
                 Mat(ctx, M[r:, :r]), BlackboxRHS(C=A.view(r, 0, m - r, r)),
-                Tri(Mat(ctx, M[:r, :r]), "upper"),
-                params.child(params.eps / 3)).shift(r, 0))
+                U.sub(0, r), third, "trsmec_upper_right").shift(r, 0))
     L = np.tril(M[:, :r], -1) + np.eye(m, r, dtype=np.int64)
     return r, Mat(ctx, L), Mat(ctx, np.triu(M[:r])), rep
 

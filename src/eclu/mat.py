@@ -23,8 +23,9 @@ against once its block is final: crout_ec and crout_reference solve
 against a diagonal block only after that block's subtree has returned, and
 nothing writes into it afterwards (node checks only multiply by
 sub-triangles and Crout leaves only eliminate, neither reads an inverse).
-The pipelines after crout_ec solve against its root triangles, stores
-included; every other Tri starts an empty store.
+The pipelines and wrappers after crout_ec solve against its root
+triangles, stores included, rank_deficient_ec even past a zero pivot;
+every other Tri starts an empty store.
 """
 
 import numpy as np
@@ -93,13 +94,18 @@ class Mat:
         return "Mat(%r, %r)" % (self.ctx, self.a.tolist())
 
 
+def check_fields(*ops):
+    """Raise DimensionError unless all ops (each with a ctx) share a field."""
+    if any(op.ctx != ops[0].ctx for op in ops[1:]):
+        raise DimensionError("operands live in different fields")
+
+
 def multiply(A, B):
     """Exact product A.B over the operands' field."""
     if A.cols != B.rows:
         raise DimensionError("inner dimensions %d and %d disagree"
                              % (A.cols, B.rows))
-    if A.ctx != B.ctx:
-        raise DimensionError("operands live in different fields")
+    check_fields(A, B)
     return Mat(A.ctx, A.ctx.matmul(A.a, B.a))
 
 
@@ -109,7 +115,7 @@ def nnz(M):
 
 
 class Tri:
-    """Triangular operand over a (possibly shared) square buffer.
+    """Triangular operand over a (possibly shared) square Mat's buffer.
 
     kind is "upper" or "lower"; with unit=True the diagonal is implicitly 1
     and stored diagonal entries are never read.  Only the entries of the
@@ -120,13 +126,11 @@ class Tri:
     __slots__ = ("ctx", "a", "kind", "unit", "_inv", "_off")
 
     def __init__(self, mat, kind, unit=False):
-        a = mat.a if isinstance(mat, Mat) else mat
-        if a.shape[0] != a.shape[1]:
+        if mat.rows != mat.cols:
             raise DimensionError("triangular matrix must be square")
         if kind not in ("upper", "lower"):
             raise ValueError("kind must be 'upper' or 'lower'")
-        self.ctx = mat.ctx if isinstance(mat, Mat) else None
-        self.a = a
+        self.ctx, self.a = mat.ctx, mat.a
         self.kind = kind
         self.unit = unit
         self._inv = {}

@@ -14,7 +14,9 @@ or "cap" (the round budget ran out, on the MonteCarloFailure's report).
 A dense_node report, a Crout node's rest refactored, keeps one record:
 found, settled, k, descent and refactor (see croutec._rest_prices).
 
-Every corrector opens its report with stage, which times the whole block.
+record is the one writer of positions and corrected, so corrected counts
+the positions on every report.  Every corrector opens its report with
+stage, which times the whole block.
 """
 
 import json
@@ -50,6 +52,11 @@ class CorrectionReport:
         self.lam = max(self.lam, child.lam)
         self.extended = self.extended or child.extended
         self.ext_degree = max(self.ext_degree, child.ext_degree)
+
+    def record(self, rows, cols):
+        """Add the corrected entries (rows[i], cols[i]) of two index arrays."""
+        self.positions.extend(zip(rows.tolist(), cols.tolist()))
+        self.corrected += len(rows)
 
     def shift(self, dr, dc):
         """Offset this report's own positions by (dr, dc); returns self."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .blackbox import BlackboxRHS
 from .croutec import _crout_ec_roots
-from .mat import DimensionError, Mat, PackedLU
+from .mat import DimensionError, Mat, PackedLU, check_fields
 from .report import stage
 from .trsmec import TrsmEcParams, _as_tri, _trsm_ec_right
 
@@ -96,7 +96,7 @@ def tr_inv_ec(R, U, params):
     if R.shape != (n, n):
         raise DimensionError("candidate inverse must match U")
     return _trsm_ec_right(R, BlackboxRHS(C=Mat.identity(R.ctx, n)),
-                          _as_tri(U, "upper", R.ctx), params, "tr_inv_ec")
+                          _as_tri(U, "upper"), params, "tr_inv_ec")
 
 
 def _canonical_rhs(bundle):
@@ -112,3 +112,4 @@ def _check_shapes(A, B, packed):
         raise DimensionError("B must have as many columns as A")
     if packed.n != A.rows:
         raise DimensionError("LU candidate size disagrees with A")
+    check_fields(A, B)

@@ -5,16 +5,17 @@ the candidate solution with a random left projection (a Freivalds-style
 check), recovers up to s = ceil(2(k - k')/c) errors per located column by
 sparse interpolation, k' being the errors already confirmed, and writes the
 recovered values into the candidate at once.  The next round's projection
-confirms each such column or rolls it back.  If fewer than half of the
-located columns cleared in a round, the guess k doubles.  The guess bounds
-all errors, confirmed ones included, so before each recovery it is also
-raised to at least k' + c plus s for each located column whose recovery
-at s terms failed: each located column still holds an error, and one that
-failed at s terms holds more than s.  So s is at least 2, and a good round
-never leaves the next one asking for too few terms.  A first pass that
-finds c of n columns bad also raises the guess to -n ln(1 - c/n), the
-linear-counting estimate (Whang, Vander-Zanden, Taylor, ACM TODS 1990),
-once that at least doubles it.
+confirms each such column, recording its entries in the report, or rolls
+it back; running out of rounds rolls back every unconfirmed one.  If fewer
+than half of the located columns cleared in a round, the guess k doubles.
+The guess bounds all errors, confirmed ones included, so before each
+recovery it is also raised to at least k' + c plus s for each located
+column whose recovery at s terms failed: each located column still holds
+an error, and one that failed at s terms holds more than s.  So s is at
+least 2, and a good round never leaves the next one asking for too few
+terms.  A first pass that finds c of n columns bad also raises the guess
+to -n ln(1 - c/n), the linear-counting estimate (Whang, Vander-Zanden,
+Taylor, ACM TODS 1990), once that at least doubles it.
 
 The loop ends when a projection finds no erroneous column at all, which
 bounds the failure probability of the final state by the requested
@@ -40,7 +41,7 @@ import math
 import numpy as np
 
 from . import ff
-from .mat import DimensionError, Mat, Tri
+from .mat import DimensionError, Mat, Tri, check_fields
 from .report import stage
 from .sparseint import apply_vandermonde, batch_interpolate
 
@@ -178,42 +179,42 @@ def trsm_ec_upper_right(R, H, U, params):
     R is m-by-n, H an m-by-n BlackboxRHS, U an invertible upper-triangular
     Tri (or square Mat); params is a TrsmEcParams or a bare failure bound.
     """
-    return _trsm_ec_right(R, H, _as_tri(U, "upper", R.ctx), params,
+    return _trsm_ec_right(R, H, _as_tri(U, "upper"), params,
                           "trsmec_upper_right")
 
 
 def trsm_ec_lower_right(R, H, L, params):
     """Correct R in place so that R.L = H."""
-    return _trsm_ec_right(R, H, _as_tri(L, "lower", R.ctx), params,
+    return _trsm_ec_right(R, H, _as_tri(L, "lower"), params,
                           "trsmec_lower_right")
 
 
 def trsm_ec_lower_left(R, H, L, params):
     """Correct R in place so that L.R = H, run as R^T.L^T = H^T."""
-    return _trsm_ec_right(R.T, H.T, _as_tri(L, "lower", R.ctx).T, params,
+    return _trsm_ec_right(R.T, H.T, _as_tri(L, "lower").T, params,
                           "trsmec_lower_left").transposed()
 
 
 def trsm_ec_upper_left(R, H, U, params):
     """Correct R in place so that U.R = H, run as R^T.U^T = H^T."""
-    return _trsm_ec_right(R.T, H.T, _as_tri(U, "upper", R.ctx).T, params,
+    return _trsm_ec_right(R.T, H.T, _as_tri(U, "upper").T, params,
                           "trsmec_upper_left").transposed()
 
 
-def _as_tri(T, kind, ctx):
-    """A caller's Tri or square Mat T as a Tri over ctx with an empty store,
-    since the caller may have changed T since it stored an inverse."""
+def _as_tri(T, kind):
+    """A caller's Tri or square Mat T as a Tri over its own field with an
+    empty store, since the caller may have changed T since it stored one."""
     if isinstance(T, Tri) and T.kind != kind:
         raise ValueError("expected a %s triangle" % kind)
-    return Tri(Mat(ctx, T.a), kind, isinstance(T, Tri) and T.unit)
+    return Tri(Mat(T.ctx, T.a), kind, isinstance(T, Tri) and T.unit)
 
 
 def _trsm_ec_right(R, H, T, params, name):
     """Entry of the four public variants, tr_inv_ec and the pipelines:
-    checks shapes, operand ranges and T's diagonal once, then runs the
-    correction loop on R.T = H in a stage named name, which it returns.
-    The public entries hand on T with an empty store (_as_tri), and
-    solve_small_rhs, solve_large_rhs and rect_ec their crout_ec's roots."""
+    checks fields, shapes, operand ranges and T's diagonal once, then runs
+    the correction loop on R.T = H in a stage named name, which it returns.
+    The public entries hand on T with an empty store (_as_tri), the
+    pipelines, rect_ec and rank_deficient_ec their crout_ec's roots."""
     params = TrsmEcParams.with_generator(params)
     m, n = R.shape
     if H.rows != m or H.cols != n:
@@ -222,6 +223,7 @@ def _trsm_ec_right(R, H, T, params, name):
     if T.n != n:
         raise DimensionError("triangle size %d does not match candidate cols %d"
                              % (T.n, n))
+    check_fields(R, H, T)
     with stage(name, params) as rep:
         # the candidate is reduced in place, the inputs through reduced copies
         R.ctx.canonical(R.a, in_place=True)
@@ -261,17 +263,16 @@ def _correction_loop(R, H, T, params, rep):
     tab = None
 
     k_guess = 1
-    k_done = 0
     c_prev = 2 * n
     tried, s = np.empty(0, dtype=np.intp), 0  # columns and terms last tried
     spent = sparse_price(base.q, eps, m, n, ell)  # the first pass
-    undo = {}  # col -> (rows, previous values) of unconfirmed corrections
+    # rows, columns and previous values of the unconfirmed corrections
+    ri = ci = old = np.empty(0, dtype=np.intp)
 
     while True:
         rep.rounds += 1
         if rep.rounds > cap:
-            for j, (ri, old) in undo.items():
-                R.a[ri, j] = old  # R keeps only confirmed corrections
+            R.a[ri, ci] = old  # R keeps only confirmed corrections
             rep.stop = "cap"
             raise MonteCarloFailure(
                 "correction did not converge within %d rounds "
@@ -280,22 +281,16 @@ def _correction_loop(R, H, T, params, rep):
         # D = W H - W R T; zero iff no erroneous column remains (T is
         # invertible), found without the triangular solve
         D = _projected_gap(base, W, H, R.a, T)
-        if not D.any():
-            bad = np.empty(0, dtype=np.intp)
-        else:
+        if D.any():
             T.solve_right(D)  # (W H T^-1 - W R), same column count
-            bad = np.nonzero(D.any(axis=0))[0]
+        is_bad = D.any(axis=0)
+        bad = np.nonzero(is_bad)[0]
         c = len(bad)
         # confirm the corrections the projection did not contradict, and
         # roll back the others
-        bad_set = set(int(j) for j in bad)
-        for j, (ri, old) in undo.items():
-            if j in bad_set:
-                R.a[ri, j] = old
-                continue
-            k_done += len(ri)
-            rep.positions.extend((int(r), int(j)) for r in ri)
-        undo = {}
+        hit = is_bad[ci]
+        R.a[ri[hit], ci[hit]] = old[hit]
+        rep.record(ri[~hit], ci[~hit])
         if c > c_prev / 2:
             k_guess *= 2  # too many bad columns remain: k was too small
         c_prev = c
@@ -303,7 +298,7 @@ def _correction_loop(R, H, T, params, rep):
         # column still holds one, and one that the last recovery tried at s
         # terms holds more than s
         again = np.intersect1d(bad, tried, assume_unique=True).size if s else 0
-        k_guess = max(k_guess, k_done + c + s * again)
+        k_guess = max(k_guess, rep.corrected + c + s * again)
         if rep.rounds == 1 and c:
             # c of n columns hit suggest -n ln(1 - c/n) errors (linear
             # counting), trusted once that doubles the guess
@@ -311,12 +306,12 @@ def _correction_loop(R, H, T, params, rep):
             if k_est >= 2 * k_guess:
                 k_guess = math.ceil(k_est)
         tried = bad
-        step = dict(c=c, k_guess=k_guess, k_done=k_done, s=0, tried=0,
+        step = dict(c=c, k_guess=k_guess, k_done=rep.corrected, s=0, tried=0,
                     failed=0, ext=False)
         rep.trace.append(step)
         if c == 0:
             break
-        s = min(m, math.ceil(2 * (k_guess - k_done) / c))
+        s = min(m, math.ceil(2 * (k_guess - rep.corrected) / c))
         if dense_cheaper(base.q, eps, m, n, ell, c, s, spent):
             _dense_solve(R, H, T, rep)
             return
@@ -325,24 +320,22 @@ def _correction_loop(R, H, T, params, rep):
         if tab is None:
             big = ff.extend_field(base, m) if rep.extended else base
             tab = ff.element_of_order_at_least(big, m)
-        fixed = _recover(base, tab, s, H, R, T, bad)
-        step.update(s=s, tried=c, failed=c - len(fixed), ext=rep.extended)
-        for j, (ri, rv) in fixed.items():
-            undo[j] = (ri, R.a[ri, j])
-            R.a[ri, j] = base.add(R.a[ri, j], rv)
+        ri, ci, rv = _recover(base, tab, s, H, R, T, bad)
+        step.update(s=s, tried=c, failed=c - len(set(ci.tolist())),
+                    ext=rep.extended)
+        old = R.a[ri, ci]
+        R.a[ri, ci] = base.add(old, rv)
 
     rep.verified = True  # the loop exits on a clean Freivalds projection
     rep.stop = "clean"
-    rep.corrected = k_done
 
 
 def _dense_solve(R, H, T, rep, check=False):
     """Correct R in place to H T^-1, solved densely in R's own field.
 
-    Only the entries that differ are written; they join rep.positions in
-    R's coordinates, and rep.corrected counts those positions.  With check,
-    a clean R (R T = H) is confirmed by one product and left alone, without
-    the solve.
+    Only the entries that differ are written, and recorded in rep in R's
+    coordinates.  With check, a clean R (R T = H) is confirmed by one
+    product and left alone, without the solve.
     """
     X = H.dense().a
     rep.verified = True
@@ -353,8 +346,7 @@ def _dense_solve(R, H, T, rep, check=False):
     T.solve_right(X)
     diff = np.nonzero(X != R.a)
     rep.correcting_rounds += 1
-    rep.positions.extend(zip(diff[0].tolist(), diff[1].tolist()))
-    rep.corrected = len(rep.positions)
+    rep.record(*diff)
     R.a[diff] = X[diff]
 
 
@@ -365,8 +357,8 @@ def _projected_gap(ctx, W, H, Ra, T):
 
 
 def _recover(base, tab, s, H, R, T, bad):
-    """col -> (row indices, values) of the error E = H T^-1 - R on the bad
-    columns, over base.
+    """Row indices, column indices and values, three arrays, of the error
+    E = H T^-1 - R on the bad columns, over base, column by column.
 
     With V = (theta^(i j)) of 2s rows over theta's field tab.ctx and P the
     bad columns, G (P^T T P) = V (H - R T) P = V E P.  apply_vandermonde
@@ -379,9 +371,8 @@ def _recover(base, tab, s, H, R, T, bad):
                  base.matmul(apply_vandermonde(base, tab, rows, R.a), Tc))
     # rows bad of T P are P^T T P, as bad is increasing
     Tri(Mat(base, Tc[bad]), T.kind).solve_right(G)
-    pending = {}
-    for j, col in zip(bad, batch_interpolate(base, G, s, tab)):
-        if col is not None and col.indices:
-            pending[int(j)] = (np.array(col.indices, dtype=np.intp),
-                               np.array(col.values, dtype=np.int64))
-    return pending
+    cols = batch_interpolate(base, G, s, tab)
+    found = [col for col in cols if col is not None]
+    return (np.array([i for col in found for i in col.indices], dtype=np.intp),
+            np.repeat(bad, [len(col.indices) if col else 0 for col in cols]),
+            np.array([v for col in found for v in col.values], dtype=np.int64))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eclu.blackbox import BlackboxRHS
-from eclu.ff import make_prime_field
+from eclu.ff import PrimeField, make_prime_field
 from eclu.mat import DimensionError, Mat
 
 F5 = make_prime_field(5)
@@ -113,3 +113,15 @@ def test_shape_validation():
         BlackboxRHS(A=Mat(F7, [[1]]))
     with pytest.raises(DimensionError):
         BlackboxRHS()
+
+
+def test_parts_from_different_fields_are_rejected():
+    # every part is read in C's field (A's without C), so a part over
+    # another field is refused; an equal field built apart is the same
+    with pytest.raises(DimensionError, match="different fields"):
+        BlackboxRHS(C=Mat(F7, [[1, 2]]), A=Mat(F5, [[1]]), B=Mat(F7, [[1, 2]]))
+    with pytest.raises(DimensionError, match="different fields"):
+        BlackboxRHS(A=Mat(F7, [[1]]), B=Mat(F5, [[1]]))
+    H = BlackboxRHS(C=Mat(F7, [[1, 2]]), A=Mat(PrimeField(7), [[3]]),
+                    B=Mat(F7, [[1, 2]]))
+    assert np.array_equal(H.dense().a, [[5, 3]])  # C - A.B mod 7

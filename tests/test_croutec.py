@@ -528,6 +528,15 @@ def test_croutec_range_checks_its_two_operands_once(monkeypatch):
         assert calls == [(64, 64), (64, 64)]
 
 
+def where(buf, a):
+    """(offset, size, strides) of a, a view of a diagonal block of buf."""
+    row = buf.strides[0] // buf.itemsize
+    elems = (a.__array_interface__["data"][0]
+             - buf.__array_interface__["data"][0]) // buf.itemsize
+    assert elems % (row + 1) == 0
+    return elems // (row + 1), a.shape[0], a.strides
+
+
 def test_croutec_inverts_each_diagonal_block_once(monkeypatch):
     # the levels of one call solve against sub-triangles of two root
     # triangles, so a base block of the packed buffer, in one orientation,
@@ -541,16 +550,9 @@ def test_croutec_inverts_each_diagonal_block_once(monkeypatch):
     built, looked_up = [], []
     inverse, block_inverse = mat._inverse, mat.Tri._block_inverse
 
-    def where(a):
-        # (offset, size, strides) of a diagonal block view of buf
-        elems = (a.__array_interface__["data"][0]
-                 - buf.__array_interface__["data"][0]) // buf.itemsize
-        assert elems % (n + 1) == 0
-        return elems // (n + 1), a.shape[0], a.strides
-
     def counting_inverse(ctx, a, kind, unit):
         if np.shares_memory(a, buf):
-            built.append((kind, unit) + where(a))
+            built.append((kind, unit) + where(buf, a))
         return inverse(ctx, a, kind, unit)
 
     def counting_lookup(self, o, b):
@@ -564,6 +566,37 @@ def test_croutec_inverts_each_diagonal_block_once(monkeypatch):
     assert np.array_equal(P.mat.a, PackedLU.pack(L0, U0).mat.a)
     assert built and len(built) == len(set(built))
     assert len(looked_up) > len(built)  # some block served from the store
+
+
+def test_rank_deficient_ec_solves_against_crout_ecs_inverses(monkeypatch):
+    # at full rank the strips right of and below the d-by-d block solve
+    # against the roots of the call's crout_ec, so no diagonal leaf of the
+    # packed block is inverted twice in one orientation
+    F31 = make_prime_field(2 ** 31 - 1)
+    rng = np.random.default_rng(17)
+    m, n = 192, 240
+    A, L0, U0 = make_grp_instance(F31, (m, n), rng)
+    L, U = L0.copy(), U0.copy()
+    for M, k in ((L, 20), (U, 30)):
+        flat = rng.choice(M.a.size, size=k, replace=False)
+        M.a.flat[flat] = F31.add(M.a.flat[flat], F31.rand_nonzero(rng, (k,)))
+    bufs, built = [], []
+    roots, inverse = croutec._crout_ec_roots, mat._inverse
+
+    def packed_buffer(packed, A, params):
+        bufs.append(packed.mat.a)
+        return roots(packed, A, params)
+
+    def counting_inverse(ctx, a, kind, unit):
+        if np.shares_memory(a, bufs[0]):
+            built.append((kind, unit) + where(bufs[0], a))
+        return inverse(ctx, a, kind, unit)
+
+    monkeypatch.setattr(croutec, "_crout_ec_roots", packed_buffer)
+    monkeypatch.setattr(mat, "_inverse", counting_inverse)
+    r, L1, U1, _ = rank_deficient_ec(A, L, U, TrsmEcParams(0.05, seed=18))
+    assert (r, L1, U1) == (m, L0, U0)
+    assert built and len(built) == len(set(built))
 
 
 def test_croutec_recomputes_wrong_blocks_without_solves(monkeypatch):

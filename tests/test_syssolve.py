@@ -1,16 +1,17 @@
-"""System-solving pipelines and triangular inverse correction."""
+"""System-solving pipelines and triangular inverse correction, and the
+checks that every public corrector shares: operand fields and reports."""
 
 import time
 
 import numpy as np
 import pytest
 
-from eclu import mat
+from eclu import ff, mat, trsmec
 from eclu.blackbox import BlackboxRHS
-from eclu.croutec import (crout_reference, make_grp_instance,
+from eclu.croutec import (crout_ec, crout_reference, make_grp_instance,
                           rank_deficient_ec, rect_ec)
 from eclu.ff import make_prime_field
-from eclu.mat import Mat, PackedLU, Tri
+from eclu.mat import DimensionError, Mat, PackedLU, Tri
 from eclu.syssolve import (LargeRhsBundle, SmallRhsBundle, solve_large_rhs,
                            solve_small_rhs, tr_inv_ec)
 from eclu.trsmec import TrsmEcParams, trsm_ec_upper_right
@@ -365,3 +366,123 @@ def test_public_entries_build_their_own_inverses(entry):
         trsm_ec_upper_right(R, BlackboxRHS(C=C), U,
                             TrsmEcParams(0.05, seed=34))
     assert np.array_equal(R.a, truth.a)
+
+
+def corrector_case(name, k, rng, n=96):
+    """(run, ops, exact) for the public corrector name over GF(65537):
+    run(ops) calls it on the operands ops, its candidates carrying k errors
+    in all, and returns its report; exact() says whether the candidates
+    came out right."""
+    params = TrsmEcParams(0.05, seed=k + 1)
+    if name.startswith("trsm_ec_"):
+        kind, side = name.split("_")[2:]
+        a = FBIG.rand(rng, (n, n))
+        a[np.arange(n), np.arange(n)] = FBIG.rand_nonzero(rng, (n,))
+        T = Tri(Mat(FBIG, a), kind)
+        truth = FBIG.rand(rng, (n, n))
+        C = (FBIG.matmul(T.dense().a, truth) if side == "left"
+             else T.mul_right(truth))
+        ops = dict(R=Mat(FBIG, truth.copy()), C=Mat(FBIG, C), T=T)
+        corrupt(FBIG, ops["R"].a, k, rng)
+        return (lambda o: getattr(trsmec, name)(
+                    o["R"], BlackboxRHS(C=o["C"]), o["T"], params),
+                ops, lambda: np.array_equal(ops["R"].a, truth))
+    if name == "tr_inv_ec":
+        U = rand_upper(FBIG, n, rng)
+        truth = upper_inverse(FBIG, U).a
+        ops = dict(R=Mat(FBIG, truth.copy()), U=U)
+        corrupt(FBIG, ops["R"].a, k, rng)
+        return (lambda o: tr_inv_ec(o["R"], o["U"], params), ops,
+                lambda: np.array_equal(ops["R"].a, truth))
+    if name in ("crout_ec", "rect_ec"):
+        extra = 32 if name == "rect_ec" else 0
+        A, L0, U0 = make_grp_instance(FBIG, (n, n + extra), rng)
+        ops = dict(A=A, P=PackedLU.pack(L0, Mat(FBIG, U0.a[:, :n])),
+                   U2=Mat(FBIG, U0.a[:, n:].copy()))
+        truth = np.hstack([ops["P"].mat.a, ops["U2"].a])
+        corrupt(FBIG, ops["P"].mat.a, k - k * extra // (n + extra), rng)
+        corrupt(FBIG, ops["U2"].a, k * extra // (n + extra), rng)
+        if name == "crout_ec":
+            run = lambda o: crout_ec(o["P"], o["A"], params)[1]
+        else:
+            run = lambda o: rect_ec(o["A"], o["P"], o["U2"], params)[2]
+        return run, ops, lambda: np.array_equal(
+            np.hstack([ops["P"].mat.a, ops["U2"].a]), truth)
+    if name == "rank_deficient_ec":
+        A, L0, U0 = make_grp_instance(FBIG, (n, n + 24), rng, rank=n - 16)
+        ops, out = dict(A=A, L=L0.copy(), U=U0.copy()), []
+        corrupt(FBIG, ops["L"].a, k // 3, rng)
+        corrupt(FBIG, ops["U"].a, k - k // 3, rng)
+
+        def run(o):
+            out[:] = rank_deficient_ec(o["A"], o["L"], o["U"], params)
+            return out[3]
+        return run, ops, lambda: (out[0] == n - 16 and out[1] == L0
+                                  and out[2] == U0)
+    # the pipelines; solve_large_rhs corrects a candidate U^-1 as Y
+    A, B, P, Y, X = make_solve_instance(FBIG, n, 4 if "small" in name else n,
+                                        rng)
+    if "large" in name:
+        Y = upper_inverse(FBIG, P.upper_tri())
+    truth = X.a.copy()
+    ops = dict(A=A, B=B, P=P, Y=Y, X=X)
+    for cand in (P.mat.a, Y.a, X.a):
+        corrupt(FBIG, cand, min(k // 3, cand.size // 4), rng)
+    solve, bundle = ((solve_small_rhs, SmallRhsBundle) if "small" in name
+                     else (solve_large_rhs, LargeRhsBundle))
+    return (lambda o: solve(bundle(o["A"], o["B"], o["P"], o["Y"], o["X"],
+                                   0.05), params)[1],
+            ops, lambda: np.array_equal(X.a, truth))
+
+
+def over(G, x):
+    """The operand x, a Mat, Tri or PackedLU, on the same buffer over G."""
+    if isinstance(x, PackedLU):
+        return PackedLU(over(G, x.mat))
+    M = Mat(G, x.a)
+    return Tri(M, x.kind, x.unit) if isinstance(x, Tri) else M
+
+
+@pytest.mark.parametrize("name, odd", [
+    ("trsm_ec_upper_right", "T"), ("trsm_ec_upper_right", "C"),
+    ("trsm_ec_lower_right", "T"), ("trsm_ec_lower_left", "T"),
+    ("trsm_ec_upper_left", "T"), ("tr_inv_ec", "U"), ("crout_ec", "P"),
+    ("rect_ec", "U2"), ("rank_deficient_ec", "L"), ("solve_small_rhs", "B"),
+    ("solve_large_rhs", "B")])
+def test_operands_from_different_fields_are_rejected(name, odd):
+    # an operand over GF(7) among operands over GF(65537) is refused before
+    # anything is read as a code of the wrong field; an equal field built
+    # apart is the same field
+    run, ops, exact = corrector_case(name, 6, np.random.default_rng(41))
+    with pytest.raises(DimensionError, match="different fields"):
+        run(dict(ops, **{odd: over(F7, ops[odd])}))
+    run(dict(ops, **{odd: over(ff.PrimeField(65537), ops[odd])}))
+    assert exact()
+
+
+@pytest.mark.parametrize("name", [
+    "crout_ec", "trsm_ec_upper_right", "trsm_ec_lower_right",
+    "trsm_ec_lower_left", "trsm_ec_upper_left", "tr_inv_ec", "rect_ec",
+    "rank_deficient_ec", "solve_small_rhs", "solve_large_rhs"])
+def test_every_report_counts_its_positions(name):
+    # a few errors stop the correction loops clean, a quarter of the
+    # entries wrong stops them dense; either way every leaf counts its
+    # distinct positions in corrected, and every parent sums its children's
+    stops = set()
+    for n, k in ((256, 12), (96, 96 * 96 // 4)):
+        run, ops, exact = corrector_case(name, k, np.random.default_rng(k), n)
+        rep = run(ops)
+        assert exact()
+        for leaf in rep.iter_leaves():
+            assert leaf.corrected == len(set(leaf.positions))
+            assert len(leaf.positions) == len(set(leaf.positions))
+            if leaf.corrected:
+                stops.add(leaf.stop)
+        parents = [rep]
+        while parents:
+            node = parents.pop()
+            if node.children:
+                assert node.corrected == sum(c.corrected
+                                             for c in node.children)
+                parents += node.children
+    assert {"clean", "dense"} <= stops

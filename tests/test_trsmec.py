@@ -223,6 +223,29 @@ def test_failure_keeps_only_confirmed_corrections(monkeypatch):
     assert err.value.report.wall_time > 0
 
 
+def test_failure_report_counts_the_confirmed_corrections(monkeypatch):
+    # ten one-error columns recover at s = 2 and the next pass confirms
+    # them; a twelve-error column does not, and the cap ends the loop
+    # there.  R keeps the ten, and the failure's report lists them and
+    # counts them in corrected
+    monkeypatch.setattr(trsmec, "iteration_cap", lambda m, n: 2)
+    rng = np.random.default_rng(12)
+    n = 512
+    R, H, U, truth = dense_rhs_instance(FBIG, n, rng)
+    ones = [(int(rng.integers(n)), 3 * j) for j in range(10)]
+    for i, j in ones:
+        R.a[i, j] = FBIG.sadd(int(R.a[i, j]), 1)
+    R.a[:12, 200] = FBIG.add(R.a[:12, 200], 5)
+    before = R.a.copy()
+    with pytest.raises(trsmec.MonteCarloFailure) as err:
+        trsm_ec_upper_right(R, H, U, TrsmEcParams(0.05, seed=1))
+    rep = err.value.report
+    assert rep.stop == "cap" and sorted(rep.positions) == sorted(ones)
+    assert rep.corrected == 10
+    assert np.array_equal(R.a[:, :200], truth[:, :200])
+    assert np.array_equal(R.a[:, 200], before[:, 200])
+
+
 def dense_rhs_instance(ctx, n, rng):
     """(R, H, U, truth): R = truth an n-by-n solution of R.U = C, C dense."""
     U = rand_tri(ctx, n, "upper", rng)
