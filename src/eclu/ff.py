@@ -2,7 +2,9 @@
 
 Two kinds of field are supported:
 
- - PrimeField: GF(p) with p prime, elements stored as int64 residues in [0, p).
+ - PrimeField: GF(p) with p prime below 2^62, elements stored as int64
+   residues in [0, p).  Products run on int64 or float64 arrays, residues
+   too wide for an exact product split into limbs (see PrimeField.matmul).
  - ExtField: GF(r^nu), a degree-nu extension of any base field GF(r), prime
    or itself an extension.  Elements are stored as packed codes in
    [0, r^nu): code sum_i c_i * r^i, each c_i a base code, stands for the
@@ -144,12 +146,12 @@ class PrimeField(FieldCtx):
         self.q = int(p)
         self.modulus = None
         self._key = (self.p,)
-        # a product of two residues overflows int64 once (p-1)^2 > 2^63 - 1
-        # (p > 3.04e9); mul falls back to object (bignum) arithmetic there
-        self._big = (p - 1) ** 2 > _INT64_MAX
-        # most products of residues an exact int64 / float64 sum can hold
+        # most products of residues an exact int64 sum holds; 0 above 3.04e9
         self._int_terms = _INT64_MAX // (p - 1) ** 2
-        self._float_terms = (1 << 53) // (p - 1) ** 2
+        # matmul's split (limb width, operands split) and block terms
+        self._split, self._terms = (
+            ((0, 0), (1 << 53) // (p - 1) ** 2) if p < 1 << 24 else
+            ((11, 1), 1 << 11) if p < 1 << 31 else ((21, 2), 1 << 11))
 
     def __repr__(self):
         return "GF(%d)" % self.p
@@ -175,10 +177,19 @@ class PrimeField(FieldCtx):
     def mul(self, a, b):
         if _COUNTING:
             _bump(np.broadcast(a, b).size)
-        if self._big:
-            r = (np.asarray(a, dtype=object) * np.asarray(b, dtype=object)) % self.p
-            return r.astype(np.int64) if isinstance(r, np.ndarray) else int(r)
-        return (a * b) % self.p
+        if self._int_terms:
+            return (a * b) % self.p
+        if np.ndim(a) + np.ndim(b) == 0:
+            return int(a) * int(b) % self.p
+        # two Horner steps over b = 2^31 b1 + b0
+        b1, b0, fa = b >> 31, b & 0x7FFFFFFF, a * 1.0
+        return self._step(self._step(0, 31, a * b1, fa * b1), 31, a * b0,
+                          fa * b0)
+
+    def smul(self, a, b):
+        if _COUNTING:
+            _bump(1)
+        return int(a) * int(b) % self.p
 
     def sinv(self, a):
         a = int(a) % self.p
@@ -189,41 +200,35 @@ class PrimeField(FieldCtx):
         return pow(a, -1, self.p)
 
     # scalar aliases (same code path as the vector ops for prime fields)
-    smul = mul
     sadd = add
     ssub = sub
 
     @staticmethod
     def madd_price(p):
-        """Price of one multiply-add in matmul over GF(p), relative to its
-        float64 path, by the path matmul takes there.  One thread: a 1024^3
-        product took 0.150 s at 2^31 - 1 on the limbs against 0.057 s at
-        GF(65537), and a 256^3 product 2.11 s at 2^61 - 1 on Python ints
-        against 0.0015 s at GF(65537)."""
-        return 1 if p < 1 << 24 else 2.6 if p < 1 << 31 else 1000
+        """Price of one multiply-add in matmul over GF(p), relative to one
+        on unsplit residues, by the split matmul takes there.  One thread: a
+        1024^3 product took 0.150 s at 2^31 - 1 against 0.057 s at
+        GF(65537), and in another run 0.58 s at 2^61 - 1 against 0.050 s."""
+        return 1 if p < 1 << 24 else 2.6 if p < 1 << 31 else 12
 
     def matmul(self, A, B):
         """A.B mod p for residue arrays A (m-by-l) and B (l-by-n).
 
         This is the one place where residues are multiplied.  A and B must
         hold residues in [0, p); the result is a new int64 array of
-        residues.  The path depends on p and the shapes alone.  A product
-        of residues is at most (p-1)^2, and each path sums at most t such
-        terms before it reduces, with t fixed by an exact-integer bound:
+        residues.  At most _TINY multiply-adds with l (p-1)^2 < 2^63 make
+        one int64 product.  Otherwise each block of t inner terms is one
+        float64 product: the operands the split names are cut into three
+        w-bit limbs, x = 2^2w x2 + 2^w x1 + x0, and stacked, and the
+        product's blocks fold back mod p by Horner steps.  A block is exact
+        while t * (largest limb of A) * (largest limb of B) <= 2^53.  The
+        split and t, from p alone, and madd_price, the price per
+        multiply-add, make three tiers:
 
-         - int64, t (p-1)^2 <= 2^63 - 1: the direct product, for tiny
-           products of at most _TINY multiply-adds;
-         - float64 BLAS, t (p-1)^2 <= 2^53: for p < 2^24, where t >= 32;
-         - 11-bit limbs for 2^24 < p < 2^31: the operand with fewer
-           entries is split as x = 2^22 x2 + 2^11 x1 + x0, every limb below
-           2^11, and its three limbs stacked against the other operand make
-           one float64 product with terms below 2^11 2^31 = 2^42, so
-           t = 2^11.  The three blocks fold back by Horner steps mod p;
-         - Python ints (object dtype) for p >= 2^31.
-
-        madd_price gives each path's price per multiply-add.  A longer
-        inner dimension is cut into blocks of t, whose reduced products are
-        summed mod p.
+         - p < 2^24: no limbs, t = 2^53 // (p-1)^2 >= 32;
+         - p < 2^31: 11-bit limbs of the operand with fewer entries against
+           the other's residues below 2^31, t = 2^11;
+         - p >= 2^31: both operands in 21-bit limbs, t = 2^11.
         """
         m, ell = A.shape
         n = B.shape[1]
@@ -231,38 +236,56 @@ class PrimeField(FieldCtx):
             _bump(m * ell * n)
         if m * ell * n <= _TINY and ell <= self._int_terms:
             return (A @ B) % self.p
-        if self.p >= 1 << 31:
-            C = (A.astype(object) @ B.astype(object)) % self.p
-            return C.astype(np.int64)
-        if self.p < 1 << 24:
-            kernel, t = self._mm_float, self._float_terms
-        else:
-            kernel, t = self._mm_limbs, 1 << 11
-        C = kernel(A[:, :t], B[:t])
+        t = self._terms
+        C = self._block(A[:, :t], B[:t])
         for i in range(t, ell, t):
-            C += kernel(A[:, i:i + t], B[i:i + t])
+            C += self._block(A[:, i:i + t], B[i:i + t])
             C %= self.p
         return C
 
-    def _mm_float(self, A, B):
-        # reduced in place: one product-sized buffer fewer at the peak
+    def _block(self, A, B):
+        w, sides = self._split
+        if sides == 1 and A.size > B.size:
+            return self._block(B.T, A.T).T
+        if sides:
+            A = self._limbs(A, w)
+        if sides == 2:
+            B = self._limbs(B.T, w).T
         C = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
-        C %= self.p
-        return C
+        if not sides:
+            C %= self.p  # in place: one product-sized buffer fewer at peak
+            return C
+        C = self._horner(C, w)
+        return self._horner(C.T, w).T if sides == 2 else C
 
-    def _mm_limbs(self, A, B):
-        if A.size > B.size:
-            return self._mm_limbs(B.T, A.T).T
-        m, p = A.shape[0], self.p
-        limbs = np.concatenate((A >> 22, A >> 11 & 0x7FF, A & 0x7FF))
-        C = (limbs.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
-        # each block below 2^53 and the running residue times 2^11 below
-        # 2^42, so every Horner step stays within int64
-        r = C[:m] % p
-        for k in (1, 2):
-            r <<= 11
-            r += C[k * m:(k + 1) * m]
-            r %= p
+    @staticmethod
+    def _limbs(X, w):
+        mask = (1 << w) - 1
+        return np.concatenate((X >> 2 * w, X >> w & mask, X & mask))
+
+    def _horner(self, C, w):
+        """(C_0 2^w + C_1) 2^w + C_2 mod p over C's three row blocks."""
+        m = len(C) // 3
+        r = C[:m] % self.p
+        for k in (m, 2 * m):
+            if self._split[1] == 2:
+                r = self._step(r, w, C[k:k + m], C[k:k + m])
+                continue
+            r <<= w  # below 2^31: r 2^11 + C_k < 2^42 + 2^53 < 2^63
+            r += C[k:k + m]
+            r %= self.p
+        return r
+
+    def _step(self, r, w, d, fd):
+        """(r 2^w + d) mod p for residues r, where r 2^w + d may wrap in int64
+        and fd is d in float64.  The quotient q by p, below 2^33, read in
+        float64 is off by at most one: r 2^w + d - q p in (-2p, 2p) fits."""
+        q = ((r * 2.0 ** w + fd) / self.p).astype(np.int64)
+        r <<= w
+        r += d
+        q *= self.p
+        r -= q
+        r %= self.p
         return r
 
 

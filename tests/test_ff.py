@@ -368,10 +368,15 @@ def test_op_counting_off_until_reset(monkeypatch):
     assert ff.op_count() == before
 
 
-# a prime on each side of the thresholds of PrimeField.matmul on p: 2^24
-# (float64 blocks below, 11-bit limbs above) and 2^31 (Python ints above)
+# a prime on each side of the thresholds of PrimeField's kernel on p: 2^24
+# (whole residues below, 11-bit limbs of one operand above), 2^31 (21-bit
+# limbs of both operands above) and 3037000493, the first prime with
+# (p-1)^2 > 2^63 - 1 (mul splits into limbs there); 2^61 - 1, and 2^62 - 57,
+# the largest prime PrimeField accepts
 KERNEL_PRIMES = [2, 7, 2 ** 16 + 1, 2 ** 24 - 3, 2 ** 24 + 43, 2 ** 29 - 3,
-                 2 ** 31 - 1, 2 ** 31 + 11, 2 ** 61 - 1]
+                 2 ** 31 - 1, 2 ** 31 + 11, 3037000493, 2 ** 61 - 1,
+                 2 ** 62 - 57]
+WIDE_PRIMES = [2 ** 61 - 1, 2 ** 62 - 57]
 
 
 def int_matmul(A, B, p):
@@ -433,27 +438,62 @@ def test_matmul_all_max_residues(p, m, ell, n):
                  operand(rng, p, (ell, n), "max", "strided"))
 
 
-@pytest.mark.parametrize("p", [2 ** 24 - 3, 2 ** 29 - 3, 2 ** 31 - 1])
+@pytest.mark.parametrize("p", [2 ** 24 - 3, 2 ** 29 - 3, 2 ** 31 - 1]
+                         + WIDE_PRIMES)
 def test_matmul_inner_dimension_beyond_one_block(p):
     # 70000 inner terms span 2188 float64 blocks of 32 at 2^24 - 3, and 35
-    # float64 blocks of 2^11 for the 11-bit limbs above 2^24
+    # float64 blocks of 2^11 for the 11-bit and the 21-bit limbs
     rng = np.random.default_rng(1)
     for fill in ("max", "random"):
         check_matmul(p, operand(rng, p, (1, 70000), fill, "plain"),
                      operand(rng, p, (70000, 2), fill, "transposed"))
 
 
-@pytest.mark.parametrize("p", [2 ** 24 + 43, 2 ** 29 - 3, 2 ** 31 - 1])
+@pytest.mark.parametrize("p", [2 ** 24 + 43, 2 ** 29 - 3, 2 ** 31 - 1]
+                         + WIDE_PRIMES)
 @pytest.mark.parametrize("ell", [2047, 2048, 2049])
 def test_matmul_limb_block_at_its_bound(p, ell):
-    # a float64 block of the 11-bit limbs holds 2^11 terms below 2^42;
-    # all-(p-1) operands make every term and every block sum its largest,
-    # whichever side is split
+    # a float64 block of the 11-bit limbs, or of the 21-bit limbs of both
+    # sides, holds 2^11 terms below 2^42; all-(p-1) operands make every
+    # term and every block sum its largest, whichever side is split
     rng = np.random.default_rng(2)
     check_matmul(p, operand(rng, p, (1, ell), "max", "plain"),
                  operand(rng, p, (ell, 3), "max", "transposed"))
     check_matmul(p, operand(rng, p, (3, ell), "max", "strided"),
                  operand(rng, p, (ell, 1), "max", "plain"))
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_mul_and_smul_match_python_ints(p):
+    # vector by vector, by a scalar (a Python int or a numpy 0-d operand),
+    # a broadcast outer product and 0-d by 0-d, with 0, 1 and p - 1 among
+    # the operands; warnings are errors, so a wrapping product of numpy
+    # scalars would fail here
+    f = make_prime_field(p)
+    rng = np.random.default_rng(p % 1013)
+    a = np.array([0, 1, p - 1, p - 1, 1, 0] + rng.integers(0, p, 60).tolist())
+    b = np.array([p - 1, p - 1, p - 1, 1, 0, 0]
+                 + rng.integers(0, p, 60).tolist())
+
+    def expect(x, y):
+        x, y = np.broadcast_arrays(x, y)
+        return np.array([int(u) * int(v) % p for u, v in
+                         zip(x.ravel(), y.ravel())]).reshape(x.shape)
+
+    for x, y in [(a, b), (b, a), (a[:, None], b[None, :8]),
+                 (a.reshape(6, 11), b.reshape(6, 11))]:
+        got = f.mul(x, y)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expect(x, y))
+    for s in (0, 1, p - 1, int(b[10])):
+        for scalar in (s, np.int64(s), np.array(s)):
+            assert np.array_equal(f.mul(a, scalar), expect(a, s))
+            assert np.array_equal(f.mul(scalar, a), expect(s, a))
+        for t in (0, 1, p - 1, int(a[20])):
+            for x, y in [(s, t), (np.int64(s), np.int64(t)),
+                         (np.array(s), np.array(t)), (np.int64(s), t)]:
+                assert int(f.mul(x, y)) == s * t % p
+                assert f.smul(x, y) == s * t % p
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -654,3 +694,53 @@ def test_kernel_guard_sees_every_product_form(src, flagged, tmp_path,
             test_residue_products_only_in_the_field_kernel()
     else:
         test_residue_products_only_in_the_field_kernel()
+
+
+def _is_object_dtype(node):
+    return ((isinstance(node, ast.Name) and node.id == "object")
+            or (isinstance(node, ast.Attribute) and node.attr == "object_")
+            or (isinstance(node, ast.Constant) and node.value in ("O",
+                                                                   "object")))
+
+
+def test_no_object_dtype_in_the_package():
+    # residues live in int64 and every product runs on the float64 or int64
+    # kernel, so no module, ff.py included, builds an array of Python ints:
+    # no astype(object), dtype=object or numpy call given an object dtype
+    found = []
+    for path in sorted(pathlib.Path(ff.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+            func = node.func
+            if isinstance(func, ast.Attribute) and (
+                    func.attr == "astype" or (
+                        isinstance(func.value, ast.Name)
+                        and func.value.id in ("np", "numpy"))):
+                dtypes += node.args[func.attr != "astype":]
+            if any(_is_object_dtype(d) for d in dtypes):
+                found.append((path.name, node.lineno))
+    assert found == []
+
+
+@pytest.mark.parametrize("src,flagged", [
+    ("x = a.astype(object)", True), ("x = a.astype('O')", True),
+    ("x = np.asarray(a, dtype=object)", True),
+    ("x = np.array(a, object)", True),
+    ("x = numpy.empty(3, dtype=np.object_)", True),
+    ("x = f(a, dtype='object')", True),
+    ("x = a.astype(np.int64)", False), ("seed: object = None", False),
+    ("x = isinstance(a, object)", False),
+    ("x = np.zeros(3, dtype=np.int64)", False)])
+def test_object_guard_sees_every_object_form(src, flagged, tmp_path,
+                                             monkeypatch):
+    # the guard above, run over a package of ff.py and one other line
+    (tmp_path / "ff.py").write_text("x = a.astype(np.float64)\n")
+    (tmp_path / "other.py").write_text(src + "\n")
+    monkeypatch.setattr(ff, "__file__", str(tmp_path / "ff.py"))
+    if flagged:
+        with pytest.raises(AssertionError):
+            test_no_object_dtype_in_the_package()
+    else:
+        test_no_object_dtype_in_the_package()

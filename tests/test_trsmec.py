@@ -507,10 +507,11 @@ def test_dense_price_follows_the_kernel():
                 > dense_price(65537, m, n, ell) == dense_price(7, m, n, ell))
 
 
-def test_python_int_kernel_prices_above_the_limbs():
-    # at p >= 2^31 PrimeField.matmul multiplies Python ints, far dearer than
-    # the limbs below 2^31; so two wrong entries of a 64-square system are
-    # recovered in one round where a dense solve would cost more
+def test_wide_limb_kernel_prices_above_the_narrow_limbs():
+    # at p >= 2^31 PrimeField.matmul splits both operands into 21-bit limbs,
+    # dearer than the 11-bit limbs of one operand below 2^31; so two wrong
+    # entries of a 64-square system are recovered in one round where a
+    # dense solve would cost more
     for m, n, ell in _SHAPES:
         assert (dense_price(2 ** 61 - 1, m, n, ell)
                 > dense_price(2 ** 31 - 1, m, n, ell))
