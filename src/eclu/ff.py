@@ -3,8 +3,9 @@
 Two kinds of field are supported:
 
  - PrimeField: GF(p) with p prime below 2^62, elements stored as int64
-   residues in [0, p).  Products run on int64 or float64 arrays, residues
-   too wide for an exact product split into limbs (see PrimeField.matmul).
+   residues in [0, p).  Products, of matrices or of stacks of them, run on
+   int64 or float64 arrays, residues too wide for an exact product split
+   into limbs (see PrimeField.matmul).
  - ExtField: GF(r^nu), a degree-nu extension of any base field GF(r), prime
    or itself an extension.  Elements are stored as packed codes in
    [0, r^nu): code sum_i c_i * r^i, each c_i a base code, stands for the
@@ -53,6 +54,11 @@ def _bump(n):
 
 def _sz(a):
     return a.size if isinstance(a, np.ndarray) else 1
+
+
+def _stack_size(A, B):
+    """Number of matrices in the broadcast stack of a product A.B."""
+    return math.prod(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]))
 
 
 def is_prime(n):
@@ -161,12 +167,12 @@ class PrimeField(FieldCtx):
 
     def add(self, a, b):
         if _COUNTING:
-            _bump(_sz(a))
+            _bump(max(_sz(a), _sz(b)))
         return (a + b) % self.p
 
     def sub(self, a, b):
         if _COUNTING:
-            _bump(_sz(a))
+            _bump(max(_sz(a), _sz(b)))
         return (a - b) % self.p
 
     def neg(self, a):
@@ -212,67 +218,81 @@ class PrimeField(FieldCtx):
         return 1 if p < 1 << 24 else 2.6 if p < 1 << 31 else 12
 
     def matmul(self, A, B):
-        """A.B mod p for residue arrays A (m-by-l) and B (l-by-n).
+        """A.B mod p for residue arrays A (..., m, l) and B (..., l, n).
 
         This is the one place where residues are multiplied.  A and B must
         hold residues in [0, p); the result is a new int64 array of
-        residues.  At most _TINY multiply-adds with l (p-1)^2 < 2^63 make
-        one int64 product.  Otherwise each block of t inner terms is one
-        float64 product: the operands the split names are cut into three
-        w-bit limbs, x = 2^2w x2 + 2^w x1 + x0, and stacked, and the
-        product's blocks fold back mod p by Horner steps.  A block is exact
-        while t * (largest limb of A) * (largest limb of B) <= 2^53.  The
-        split and t, from p alone, and madd_price, the price per
-        multiply-add, make three tiers:
+        residues.  Leading axes broadcast as in numpy's matmul, so a stack
+        of products is one call, and every bound below holds per matrix.
+        A product of at most _TINY multiply-adds runs in int64: as one
+        product while l (p-1)^2 < 2^63, and for 2^24 <= p < 2^31 as two,
+        over A's 16-bit limbs, ((A >> 16).B mod p) 2^16 + (A & 0xFFFF).B,
+        each sum below 2^60 since l <= 2^13.  Otherwise each block of t
+        inner terms is one float64 product: the operands the split names
+        are cut into three w-bit limbs, x = 2^2w x2 + 2^w x1 + x0, and
+        stacked, and the product's blocks fold back mod p by Horner steps.
+        A block is exact while t * (largest limb of A) * (largest limb of
+        B) <= 2^53.  The split and t, from p alone, and madd_price, the
+        price per multiply-add, make three tiers:
 
          - p < 2^24: no limbs, t = 2^53 // (p-1)^2 >= 32;
          - p < 2^31: 11-bit limbs of the operand with fewer entries against
            the other's residues below 2^31, t = 2^11;
          - p >= 2^31: both operands in 21-bit limbs, t = 2^11.
         """
-        m, ell = A.shape
-        n = B.shape[1]
+        m, ell = A.shape[-2:]
+        n = B.shape[-1]
         if _COUNTING:
-            _bump(m * ell * n)
-        if m * ell * n <= _TINY and ell <= self._int_terms:
-            return (A @ B) % self.p
+            _bump(m * ell * n * _stack_size(A, B))
+        if m * ell * n <= _TINY:
+            if ell <= self._int_terms:
+                return (A @ B) % self.p
+            if self._split[1] == 1:
+                C = (A >> 16) @ B % self.p
+                C <<= 16
+                C += (A & 0xFFFF) @ B
+                C %= self.p
+                return C
         t = self._terms
-        C = self._block(A[:, :t], B[:t])
+        if ell <= t:
+            return self._block(A, B)
+        C = self._block(A[..., :t], B[..., :t, :])
         for i in range(t, ell, t):
-            C += self._block(A[:, i:i + t], B[i:i + t])
+            C += self._block(A[..., i:i + t], B[..., i:i + t, :])
             C %= self.p
         return C
 
     def _block(self, A, B):
         w, sides = self._split
         if sides == 1 and A.size > B.size:
-            return self._block(B.T, A.T).T
+            return self._block(B.mT, A.mT).mT
         if sides:
             A = self._limbs(A, w)
         if sides == 2:
-            B = self._limbs(B.T, w).T
+            B = self._limbs(B.mT, w).mT
         C = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
         if not sides:
             C %= self.p  # in place: one product-sized buffer fewer at peak
             return C
         C = self._horner(C, w)
-        return self._horner(C.T, w).T if sides == 2 else C
+        return self._horner(C.mT, w).mT if sides == 2 else C
 
     @staticmethod
     def _limbs(X, w):
         mask = (1 << w) - 1
-        return np.concatenate((X >> 2 * w, X >> w & mask, X & mask))
+        return np.concatenate((X >> 2 * w, X >> w & mask, X & mask), axis=-2)
 
     def _horner(self, C, w):
         """(C_0 2^w + C_1) 2^w + C_2 mod p over C's three row blocks."""
-        m = len(C) // 3
-        r = C[:m] % self.p
+        m = C.shape[-2] // 3
+        r = C[..., :m, :] % self.p
         for k in (m, 2 * m):
+            d = C[..., k:k + m, :]
             if self._split[1] == 2:
-                r = self._step(r, w, C[k:k + m], C[k:k + m])
+                r = self._step(r, w, d, d)
                 continue
             r <<= w  # below 2^31: r 2^11 + C_k < 2^42 + 2^53 < 2^63
-            r += C[k:k + m]
+            r += d
             r %= self.p
         return r
 
@@ -344,16 +364,18 @@ class ExtField(FieldCtx):
 
     def planes(self, A):
         """[A_0; ...; A_{nu-1}]: the base-code digits of the code array A
-        (m-by-n), stacked by rows into a nu*m-by-n array."""
+        (..., m, n), stacked by rows into an array (..., nu*m, n)."""
         # digit i of a is a // r^i - r * (a // r^(i+1))
-        D = A // self._pw[:, None, None]
-        D[:-1] -= D[1:] * self.base.q
-        return D.reshape(self.nu * A.shape[0], A.shape[1])
+        D = A[..., None, :, :] // self._pw[:, None, None]
+        D[..., :-1, :, :] -= D[..., 1:, :, :] * self.base.q
+        return D.reshape(A.shape[:-2] + (self.nu * A.shape[-2], A.shape[-1]))
 
     def pack(self, D):
-        """The codes sum_i D_i r^i of the planes D = [D_0; ...; D_{nu-1}]."""
-        m, n = D.shape[0] // self.nu, D.shape[1]
-        return (self._pw @ D.reshape(self.nu, m * n)).reshape(m, n)
+        """The codes sum_i D_i r^i of the planes D = [D_0; ...; D_{nu-1}],
+        an array (..., nu*m, n)."""
+        lead, m, n = D.shape[:-2], D.shape[-2] // self.nu, D.shape[-1]
+        return (self._pw @ D.reshape(lead + (self.nu, m * n))).reshape(
+            lead + (m, n))
 
     def _reduce(self, a, out):
         raise FieldError("codes of %r must lie in [0, %d)" % (self, self.q))
@@ -432,24 +454,28 @@ class ExtField(FieldCtx):
         return self._exp.item(-la % self._q1)
 
     def matmul(self, A, B):
-        """A.B for code arrays A (m-by-l) and B (l-by-n).
+        """A.B for code arrays A (..., m, l) and B (..., l, n), whose
+        leading axes broadcast as in PrimeField.matmul.
 
         The nu^2 products of the digit planes, A_i.B_j, come from one base
         product planes(A).[B_0 ... B_{nu-1}], and one more base product by
         _fold maps them to the planes of A.B: block (i, j) goes to y^(i+j),
         reduced by the modulus.  Both are exact by the base's own bounds.
         """
-        m, ell = A.shape
-        n = B.shape[1]
+        m, ell = A.shape[-2:]
+        n = B.shape[-1]
         nu, base = self.nu, self.base
-        # m*ell*n field ops net, once the two base products below add
-        # nu^2 m*ell*n and nu^3 m*n
+        # m*ell*n field ops net per matrix, once the two base products below
+        # add nu^2 m*ell*n and nu^3 m*n
         if _COUNTING:
-            _bump(m * ell * n - nu * nu * (m * ell * n + nu * m * n))
-        C = base.matmul(self.planes(A), self.planes(B.T).T)
-        C = C.reshape(nu, m, nu, n).transpose(0, 2, 1, 3).reshape(
-            nu * nu, m * n)
-        return self.pack(base.matmul(self._fold, C).reshape(nu * m, n))
+            _bump((m * ell * n - nu * nu * (m * ell * n + nu * m * n))
+                  * _stack_size(A, B))
+        C = base.matmul(self.planes(A), self.planes(B.mT).mT)
+        lead = C.shape[:-2]
+        C = C.reshape(lead + (nu, m, nu, n)).swapaxes(-3, -2).reshape(
+            lead + (nu * nu, m * n))
+        return self.pack(base.matmul(self._fold, C).reshape(
+            lead + (nu * m, n)))
 
     # -- construction helpers ---------------------------------------------
 

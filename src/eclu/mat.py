@@ -13,19 +13,22 @@ most _TRSM_BASE rows and solves against each as one kernel product with
 the block's inverse.  That inverse is built from the inverses of the
 block's two halves by two kernel products, down to leaves of at most
 _BLOCK_CHECK rows (the Crout leaf), which are inverted by repeated
-squaring.  A Tri stores the inverses it builds, halves included, keyed by
-kind, absolute offset and size, for as long as it lives, and its
-sub-triangles and transposes share that store, so a block whose halves a
-Crout level has already solved against costs two products; a block
-missing under one kind is read as the transpose of the other's entry.  A
-stored inverse is never rebuilt, so a sub-triangle may only be solved
-against once its block is final: crout_ec and crout_reference solve
-against a diagonal block only after that block's subtree has returned, and
-nothing writes into it afterwards (node checks only multiply by
-sub-triangles and Crout leaves only eliminate, neither reads an inverse).
-The pipelines and wrappers after crout_ec solve against its root
-triangles, stores included, rank_deficient_ec even past a zero pivot;
-every other Tri starts an empty store.
+squaring.  Before it descends, a solve builds the inverses its base blocks
+lack, halves included, by level: all the missing leaves of one size as one
+stacked _inverse call, and all the merges of one size as two stacked
+products.  A Tri stores the inverses it builds, keyed by kind, absolute
+offset and size, for as long as it lives, and its sub-triangles and
+transposes share that store, so a block whose halves a Crout level has
+already solved against costs two products; a block missing under one kind
+is read as the transpose of the other's entry.  A stored inverse is never
+rebuilt, so a sub-triangle may only be solved against once its block is
+final: crout_ec and crout_reference solve against a diagonal block only
+after that block's subtree has returned, and nothing writes into it
+afterwards (node checks only multiply by sub-triangles and Crout leaves
+only eliminate, neither reads an inverse).  The pipelines and wrappers
+after crout_ec solve against its root triangles, stores included,
+rank_deficient_ec even past a zero pivot; every other Tri starts an empty
+store.
 """
 
 import numpy as np
@@ -217,38 +220,73 @@ class Tri:
         _solve_right(self.T, a.T)
 
     def _block_inverse(self, o, b):
-        """Inverse of the diagonal block on o..o+b-1, from the store.
-
-        A block of more than _BLOCK_CHECK rows is built from the inverses
-        X1, X2 of its halves, split at (b + 1) // 2 as _solve_rec splits,
-        and fetched through the store: with T12 (T21) the off-diagonal
-        block, an upper inverse is [[X1, -X1.T12.X2], [0, X2]] and a lower
-        one [[X1, 0], [-X2.T21.X1, X2]], two kernel products.
-        """
-        key = (self.kind, self._off + o, b)
-        inv = self._inv.get(key)
-        if inv is not None:
-            return inv
-        inv = self._inv.get((_OTHER[self.kind], self._off + o, b))
-        if inv is not None:  # built through the transpose
-            return inv.T
-        ctx, a = self.ctx, self.a
-        if b <= _BLOCK_CHECK:
-            inv = _inverse(ctx, a[o:o + b, o:o + b], self.kind, self.unit)
-        else:
-            h = (b + 1) // 2
-            X1 = self._block_inverse(o, h)
-            X2 = self._block_inverse(o + h, b - h)
-            inv = np.zeros((b, b), dtype=np.int64)
-            inv[:h, :h], inv[h:, h:] = X1, X2
-            if self.kind == "upper":
-                inv[:h, h:] = ctx.neg(ctx.matmul(
-                    ctx.matmul(X1, a[o:o + h, o + h:o + b]), X2))
-            else:
-                inv[h:, :h] = ctx.neg(ctx.matmul(
-                    ctx.matmul(X2, a[o + h:o + b, o:o + h]), X1))
-        self._inv[key] = inv
+        """Inverse of the diagonal block on o..o+b-1, of at most
+        _TRSM_BASE rows, built if missing."""
+        inv = self._stored(o, b)
+        if inv is None:
+            self._build(((o, b),))
+            inv = self._inv[self.kind, self._off + o, b]
         return inv
+
+    def _stored(self, o, b):
+        """The block's stored inverse, or the transpose of the other kind's
+        entry, or None."""
+        inv = self._inv.get((self.kind, self._off + o, b))
+        if inv is None:
+            inv = self._inv.get((_OTHER[self.kind], self._off + o, b))
+            if inv is not None:
+                inv = inv.T
+        return inv
+
+    def _build(self, blocks):
+        """Store the inverses the store lacks of the diagonal blocks (o, b)
+        in blocks, and of their halves, by ascending size: the leaves of one
+        size as one _inverse call, the merges of one size as two kernel
+        products, each over the stack of those blocks (a lone block is not
+        stacked).  Blocks split at (b + 1) // 2 as _solve_rec splits, and
+        one of more than _TRSM_BASE rows only into the base blocks a solve
+        reads.  A block of more than _BLOCK_CHECK rows merges the inverses
+        X1, X2 of its halves: with T12 (T21) the off-diagonal block, an
+        upper inverse is [[X1, -X1.T12.X2], [0, X2]] and a lower one
+        [[X1, 0], [-X2.T21.X1, X2]]."""
+        todo, blocks = {}, list(blocks)
+        while blocks:
+            o, b = blocks.pop()
+            if b <= _TRSM_BASE:
+                if self._stored(o, b) is not None:
+                    continue
+                todo.setdefault(b, []).append(o)
+            if b > _BLOCK_CHECK:
+                h = (b + 1) // 2
+                blocks += ((o, h), (o + h, b - h))
+        ctx, a, kind = self.ctx, self.a, self.kind
+        for b in sorted(todo):
+            offs, h = todo[b], (b + 1) // 2
+            if b <= _BLOCK_CHECK:
+                invs = _inverse(ctx, _stack([a[o:o + b, o:o + b]
+                                             for o in offs]),
+                                kind, self.unit)
+            else:
+                X1 = _stack([self._stored(o, h) for o in offs])
+                X2 = _stack([self._stored(o + h, b - h) for o in offs])
+                invs = np.zeros(X1.shape[:-2] + (b, b), dtype=np.int64)
+                invs[..., :h, :h], invs[..., h:, h:] = X1, X2
+                if kind == "upper":
+                    T12 = _stack([a[o:o + h, o + h:o + b] for o in offs])
+                    invs[..., :h, h:] = ctx.neg(ctx.matmul(
+                        ctx.matmul(X1, T12), X2))
+                else:
+                    T21 = _stack([a[o + h:o + b, o:o + h] for o in offs])
+                    invs[..., h:, :h] = ctx.neg(ctx.matmul(
+                        ctx.matmul(X2, T21), X1))
+            for o, inv in zip(offs, invs.reshape(-1, b, b)):
+                self._inv[kind, self._off + o, b] = inv
+
+
+def _stack(arrays):
+    """The one array of a list of one, else the list stacked on a new
+    leading axis."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
 
 
 # Column panel width of Tri.mul_right.  Picked from a one-thread
@@ -272,9 +310,10 @@ for _mask in (_EYE, *_STRICT.values()):
 # from a one-thread microbenchmark (OpenBLAS 0.3.31, numpy 2.4.6) of solves
 # with 1, 2, 50 and n rows at n = 128, 384 and 1024 over GF(7), GF(65537)
 # and GF(2^31 - 1), for bases 16 to 96: with the inverses stored, solves
-# speed up until 32-48 and gain at most 15% beyond 48, while a solve that
-# builds its inverses (a fresh Tri) costs least at 24-48 and 30-50% more
-# at 64 and 96 for n = 1024.
+# speed up until 32-48 and gain at most 15% beyond 48.  A solve that builds
+# its inverses by level (a fresh Tri; the same fields, n = 384 and 1024,
+# 1 and 50 rows) costs at most 15% over the cheapest base at 48, and at
+# 64 and 96 10-100% more with one row and up to 5% less with 50.
 _TRSM_BASE = 48
 
 # Leaf size of both Crout recursions, largest block crout_ec checks densely,
@@ -295,6 +334,8 @@ def _solve_right(T, B):
                              % (B.shape[1], n))
     T.check_invertible()
     if n and B.shape[0]:
+        if n > _TRSM_BASE:  # else _solve_rec's one lookup builds it
+            T._build(((0, n),))
         _solve_rec(T, 0, n, B)
 
 
@@ -323,28 +364,33 @@ def _solve_rec(T, o, n, B):
 
 
 def _inverse(ctx, a, kind, unit):
-    """Inverse of the invertible b-by-b triangle a, through the kernel.
+    """Inverses of the invertible b-by-b triangles a (..., b, b), through
+    the kernel.
 
     With D the diagonal and N the strict triangle, a = (I + M) D where
     M = N D^-1 is nilpotent, so a^-1 = D^-1 (I - M)(I + M^2)(I + M^4)...:
-    ceil(log2 b) - 1 squarings and as many products.  Tri._block_inverse
-    calls it on its leaves, of at most _BLOCK_CHECK rows, and builds every
-    larger block from its halves.
+    ceil(log2 b) - 1 squarings and as many products, each one kernel call
+    over the whole stack.  Tri._build calls it on its leaves, of at most
+    _BLOCK_CHECK rows, and builds every larger block from its halves.
     """
-    b = a.shape[0]
-    d = None if unit else np.array([ctx.sinv(x) for x in a.diagonal()],
-                                   dtype=np.int64)
+    b = a.shape[-1]
+    if not unit:
+        diag = a.diagonal(0, -2, -1)
+        d = np.array([ctx.sinv(x) for x in diag.ravel().tolist()],
+                     dtype=np.int64).reshape(diag.shape)
     if b == 1:
-        return np.ones((1, 1), dtype=np.int64) if unit else d.reshape(1, 1)
+        return np.ones(a.shape, dtype=np.int64) if unit else d[..., None]
     eye, strict = _EYE[:b, :b], _STRICT[kind][:b, :b]
     M = np.where(strict, a, 0)
     if not unit:
-        M = ctx.mul(M, d)
+        M = ctx.mul(M, d[..., None, :])
     inv = ctx.sub(eye, M)
     for _ in range((b - 1).bit_length() - 1):
         M = ctx.matmul(M, M)
-        inv = ctx.matmul(inv, ctx.add(eye, M))
-    return inv if unit else ctx.mul(d[:, None], inv)
+        # M stays strictly triangular: I + M only sets its zero diagonal to
+        # the code of one, no field addition
+        inv = ctx.matmul(inv, M + eye)
+    return inv if unit else ctx.mul(d[..., :, None], inv)
 
 
 class PackedLU:

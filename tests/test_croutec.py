@@ -528,16 +528,8 @@ def test_croutec_range_checks_its_two_operands_once(monkeypatch):
         assert calls == [(64, 64), (64, 64)]
 
 
-def where(buf, a):
-    """(offset, size, strides) of a, a view of a diagonal block of buf."""
-    row = buf.strides[0] // buf.itemsize
-    elems = (a.__array_interface__["data"][0]
-             - buf.__array_interface__["data"][0]) // buf.itemsize
-    assert elems % (row + 1) == 0
-    return elems // (row + 1), a.shape[0], a.strides
-
-
-def test_croutec_inverts_each_diagonal_block_once(monkeypatch):
+def test_croutec_inverts_each_diagonal_block_once(monkeypatch,
+                                                 leaf_inversions):
     # the levels of one call solve against sub-triangles of two root
     # triangles, so a base block of the packed buffer, in one orientation,
     # is inverted once however many levels and rounds solve against it
@@ -547,20 +539,14 @@ def test_croutec_inverts_each_diagonal_block_once(monkeypatch):
     P = PackedLU.pack(L0.copy(), U0.copy())
     corrupt_packed(FBIG, P, 20, rng)
     buf = P.mat.a
-    built, looked_up = [], []
-    inverse, block_inverse = mat._inverse, mat.Tri._block_inverse
-
-    def counting_inverse(ctx, a, kind, unit):
-        if np.shares_memory(a, buf):
-            built.append((kind, unit) + where(buf, a))
-        return inverse(ctx, a, kind, unit)
+    built, looked_up = leaf_inversions(buf), []
+    block_inverse = mat.Tri._block_inverse
 
     def counting_lookup(self, o, b):
         if np.shares_memory(self.a, buf):
             looked_up.append((self.kind, self.unit, self._off + o, b))
         return block_inverse(self, o, b)
 
-    monkeypatch.setattr(mat, "_inverse", counting_inverse)
     monkeypatch.setattr(mat.Tri, "_block_inverse", counting_lookup)
     crout_ec(P, A, TrsmEcParams(0.05, seed=5))
     assert np.array_equal(P.mat.a, PackedLU.pack(L0, U0).mat.a)
@@ -568,7 +554,8 @@ def test_croutec_inverts_each_diagonal_block_once(monkeypatch):
     assert len(looked_up) > len(built)  # some block served from the store
 
 
-def test_rank_deficient_ec_solves_against_crout_ecs_inverses(monkeypatch):
+def test_rank_deficient_ec_solves_against_crout_ecs_inverses(
+        monkeypatch, leaf_inversions):
     # at full rank the strips right of and below the d-by-d block solve
     # against the roots of the call's crout_ec, so no diagonal leaf of the
     # packed block is inverted twice in one orientation
@@ -580,22 +567,18 @@ def test_rank_deficient_ec_solves_against_crout_ecs_inverses(monkeypatch):
     for M, k in ((L, 20), (U, 30)):
         flat = rng.choice(M.a.size, size=k, replace=False)
         M.a.flat[flat] = F31.add(M.a.flat[flat], F31.rand_nonzero(rng, (k,)))
-    bufs, built = [], []
-    roots, inverse = croutec._crout_ec_roots, mat._inverse
+    watched = []
+    roots = croutec._crout_ec_roots
 
     def packed_buffer(packed, A, params):
-        bufs.append(packed.mat.a)
+        if not watched:  # the first call's buffer
+            watched.append(leaf_inversions(packed.mat.a))
         return roots(packed, A, params)
 
-    def counting_inverse(ctx, a, kind, unit):
-        if np.shares_memory(a, bufs[0]):
-            built.append((kind, unit) + where(bufs[0], a))
-        return inverse(ctx, a, kind, unit)
-
     monkeypatch.setattr(croutec, "_crout_ec_roots", packed_buffer)
-    monkeypatch.setattr(mat, "_inverse", counting_inverse)
     r, L1, U1, _ = rank_deficient_ec(A, L, U, TrsmEcParams(0.05, seed=18))
     assert (r, L1, U1) == (m, L0, U0)
+    built = watched[0]
     assert built and len(built) == len(set(built))
 
 
@@ -645,9 +628,9 @@ def test_reference_inverts_at_most_two_blocks_per_leaf(monkeypatch):
     built = []
     inverse = mat._inverse
 
-    def counting_inverse(*args):
-        built.append(args[1].shape[0])
-        return inverse(*args)
+    def counting_inverse(ctx, a, kind, unit):
+        built.extend([a.shape[-1]] * (a.size // a.shape[-1] ** 2))
+        return inverse(ctx, a, kind, unit)
 
     monkeypatch.setattr(mat, "_inverse", counting_inverse)
     P = crout_reference(A)

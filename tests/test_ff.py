@@ -744,3 +744,102 @@ def test_object_guard_sees_every_object_form(src, flagged, tmp_path,
             test_no_object_dtype_in_the_package()
     else:
         test_no_object_dtype_in_the_package()
+
+
+# Stacks: both kernels take operands (..., m, l) and (..., l, n) whose
+# leading axes broadcast, each matrix of the stack under the bounds of one
+# product; at every kernel prime, a product within _TINY multiply-adds and
+# one beyond it, and at two extension fields with their own shapes
+STACK_FIELDS = [make_prime_field(p) for p in KERNEL_PRIMES]
+STACK_FIELDS += [make_ext_field(7, 3), make_ext_field(2, 7)]
+
+
+def stack_operand(rng, ctx, shape, fill):
+    if fill == "max":
+        return np.full(shape, ctx.q - 1, dtype=np.int64)
+    return rng.integers(0, ctx.q, shape, dtype=np.int64)
+
+
+def check_stack(ctx, A, B):
+    """ctx.matmul on the stacks A and B against ctx.matmul and the
+    Python-int oracle on each pair of matrices of the broadcast stack."""
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    m, ell, n = A.shape[-2], A.shape[-1], B.shape[-1]
+    C = ctx.matmul(A, B)
+    assert C.dtype == np.int64 and C.shape == lead + (m, n)
+    A = np.broadcast_to(A, lead + (m, ell))
+    B = np.broadcast_to(B, lead + (ell, n))
+    oracle = (lambda X, Y: int_matmul(X, Y, ctx.p)) if ctx.nu == 1 else (
+        lambda X, Y: oracle_matmul(ctx, X, Y))
+    for idx in np.ndindex(lead):
+        one = ctx.matmul(A[idx], B[idx])
+        assert np.array_equal(C[idx], one)
+        assert np.array_equal(one, oracle(A[idx], B[idx]))
+
+
+@pytest.mark.parametrize("ctx", STACK_FIELDS, ids=repr)
+def test_matmul_on_stacks_matches_each_product(ctx):
+    rng = np.random.default_rng(ctx.q % 1019)
+    # 2^13 < 20*25*20 for the prime kernel, and 2^13 < 30*12*30 for the
+    # base product of the digit planes at nu = 3
+    shapes = [(3, 5, 4), (20, 25, 20) if ctx.nu == 1 else (10, 12, 10)]
+    for (m, ell, n), fill in zip(shapes, ("random", "max")):
+        def rand(*shape):
+            return stack_operand(rng, ctx, shape, fill)
+        check_stack(ctx, rand(3, m, ell), rand(3, ell, n))
+        check_stack(ctx, rand(m, ell), rand(2, ell, n))
+        check_stack(ctx, rand(2, m, ell), rand(ell, n))
+        check_stack(ctx, rand(2, 1, m, ell), rand(3, ell, n))
+        for k in (0, 1):
+            check_stack(ctx, rand(k, m, ell), rand(k, ell, n))
+        # transposed and strided views of larger stacks
+        check_stack(ctx, rand(2, ell, m).mT,
+                    rand(2, 2 * ell, 3 * n)[:, ::2, 1::3])
+        check_stack(ctx, rand(3, 2 * m, ell + 1)[::2, ::2, 1:],
+                    rand(2, n, ell).mT)
+    if ctx.nu == 1:  # inner terms over more than one float64 block
+        check_stack(ctx, stack_operand(rng, ctx, (2, 1, 2100), "max"),
+                    stack_operand(rng, ctx, (2, 2100, 2), "random"))
+
+
+@pytest.mark.parametrize("ctx", [make_prime_field(2 ** 31 - 1),
+                                 make_prime_field(7), make_ext_field(7, 3)],
+                         ids=repr)
+def test_op_count_counts_every_matrix_of_a_stack(ctx):
+    ff.reset_op_count()
+    rng = np.random.default_rng(6)
+    for sa, sb, mats in (((4, 3, 5), (4, 5, 2), 4), ((3, 5), (4, 5, 2), 4),
+                         ((2, 1, 3, 5), (4, 5, 2), 8), ((0, 3, 5), (5, 2), 0)):
+        A, B = ctx.rand(rng, sa), ctx.rand(rng, sb)
+        before = ff.op_count()
+        ctx.matmul(A, B)
+        assert ff.op_count() - before == mats * 3 * 5 * 2
+    # an elementwise op counts its broadcast result, whichever side is 2-D
+    S = ctx.rand(rng, (4, 3, 3))
+    for op in (ctx.add, ctx.sub, ctx.mul):
+        before = ff.op_count()
+        op(np.eye(3, dtype=np.int64), S)
+        assert ff.op_count() - before == S.size
+
+
+@pytest.mark.parametrize("p", [2 ** 24 + 43, 2 ** 29 - 3, 2 ** 31 - 1])
+def test_matmul_tiny_int64_path_at_its_bound(p, monkeypatch):
+    # _TINY = 2^13 multiply-adds of (p-1)^2 in one sum, the largest a tiny
+    # product takes: in one int64 product at 2^24 + 43, and in two over A's
+    # 16-bit limbs above, each sum below 2^60; no float64 block runs
+    F = ff.PrimeField(p)  # its own context, so that the spy stays local
+
+    def no_block(A, B):
+        raise AssertionError("a tiny product ran a float64 block")
+
+    monkeypatch.setattr(F, "_block", no_block)
+    ell = 1 << 13
+    assert ell == ff._TINY
+    top = np.full((1, ell), p - 1, dtype=np.int64)
+    want = ell * (p - 1) ** 2 % p
+    assert F.matmul(top, top.T).tolist() == [[want]]
+    assert F.matmul(np.stack([top, top]), top.T).tolist() == [[[want]]] * 2
+    rng = np.random.default_rng(p % 1021)
+    A = rng.integers(0, p, (1, ell), dtype=np.int64)
+    B = rng.integers(0, p, (ell, 1), dtype=np.int64)
+    assert np.array_equal(F.matmul(A, B), int_matmul(A, B, p))

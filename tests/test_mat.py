@@ -266,19 +266,11 @@ def test_block_inverse_inverts_its_block(ctx):
 
 
 @pytest.mark.parametrize("ctx", INV_FIELDS, ids=repr)
-def test_block_inverse_reads_the_transposes_entry(ctx, monkeypatch):
+def test_block_inverse_reads_the_transposes_entry(ctx, leaf_inversions):
     # a store filled through T answers T.T, and its sub-triangles, with the
     # transpose of each entry, inverting nothing more
     rng = np.random.default_rng(ctx.q % 1033)
     size = 60
-    leaves = []
-    inverse = mat._inverse
-
-    def counting_inverse(*args):
-        leaves.append(args)
-        return inverse(*args)
-
-    monkeypatch.setattr(mat, "_inverse", counting_inverse)
     for kind in ("upper", "lower"):
         for unit in (False, True):
             a, _ = tri_operand(ctx, size, kind, unit, rng)
@@ -286,30 +278,26 @@ def test_block_inverse_reads_the_transposes_entry(ctx, monkeypatch):
                 for o in (0, 5, size - b):
                     T = Tri(Mat(ctx, a), kind, unit=unit)
                     X = T._block_inverse(o, b)
-                    leaves.clear()
+                    leaves = leaf_inversions(a)
                     assert np.array_equal(T.T._block_inverse(o, b), X.T)
                     assert np.array_equal(
                         T.T.sub(o, b)._block_inverse(0, b), X.T)
                     assert leaves == []
 
 
-def test_block_inverse_from_stored_halves_takes_two_products(monkeypatch):
+def test_block_inverse_from_stored_halves_takes_two_products(
+        monkeypatch, leaf_inversions):
     # a field of its own, so that the counter leaves the shared one alone
     ctx = ff.PrimeField(2 ** 31 - 1)
     rng = np.random.default_rng(23)
-    products, leaves = [], []
-    matmul, inverse = ctx.matmul, mat._inverse
+    products = []
+    matmul = ctx.matmul
 
     def counting_matmul(A, B):
         products.append(A.shape)
         return matmul(A, B)
 
-    def counting_inverse(*args):
-        leaves.append(args)
-        return inverse(*args)
-
     monkeypatch.setattr(ctx, "matmul", counting_matmul)
-    monkeypatch.setattr(mat, "_inverse", counting_inverse)
     for kind in ("upper", "lower"):
         for unit in (False, True):
             a, dense = tri_operand(ctx, 100, kind, unit, rng)
@@ -318,12 +306,65 @@ def test_block_inverse_from_stored_halves_takes_two_products(monkeypatch):
                 T._block_inverse(o, b)
             for o, b in ((3, 48), (51, 33)):
                 products.clear()
-                leaves.clear()
+                leaves = leaf_inversions(a)
                 X = T._block_inverse(o, b)
                 assert len(products) == 2 and leaves == []
                 assert np.array_equal(
                     oracle_product(ctx, X, dense[o:o + b, o:o + b]),
                     np.eye(b, dtype=np.int64))
+
+
+@pytest.mark.parametrize("ctx", INV_FIELDS, ids=repr)
+def test_inverse_of_a_stack_is_the_stack_of_inverses(ctx):
+    rng = np.random.default_rng(ctx.q % 1039)
+    for kind in ("upper", "lower"):
+        for unit in (False, True):
+            for b in (1, 2, 12, 16):
+                for k in (1, 3):
+                    leaves = [tri_operand(ctx, b, kind, unit, rng)
+                              for _ in range(k)]
+                    X = mat._inverse(ctx, np.stack([s for s, _ in leaves]),
+                                     kind, unit)
+                    assert X.shape == (k, b, b)
+                    for Xi, (s, dense) in zip(X, leaves):
+                        assert np.array_equal(
+                            Xi, mat._inverse(ctx, s, kind, unit))
+                        assert np.array_equal(oracle_product(ctx, Xi, dense),
+                                              np.eye(b, dtype=np.int64))
+
+
+def test_fresh_solve_builds_its_inverses_as_stacks(monkeypatch,
+                                                  leaf_inversions):
+    # a 384-row triangle solves against 8 base blocks of 48 rows, whose
+    # inverses take 32 leaves of 12 rows, 16 merges to 24 rows and 8 to 48.
+    # Built by level, the leaves cost one _inverse call of 6 products and
+    # each merge level 2 products; one block at a time they cost
+    # 32 * 6 + 24 * 2 = 240 products
+    ctx = ff.PrimeField(2 ** 31 - 1)  # its own context, for the spy
+    rng = np.random.default_rng(29)
+    products = []
+    matmul = ctx.matmul
+
+    def counting_matmul(A, B):
+        products.append(A.shape)
+        return matmul(A, B)
+
+    monkeypatch.setattr(ctx, "matmul", counting_matmul)
+    a, dense = tri_operand(ctx, 384, "upper", False, rng)
+    built = leaf_inversions(a)
+    B = ctx.rand(rng, (1, 384))
+    want = B.copy()
+    T = Tri(Mat(ctx, a), "upper")
+    T.solve_right(B)
+    assert np.array_equal(oracle_product(ctx, B, dense), want)
+    # the solve's own products all have the right side's one row
+    assert len([s for s in products if s[-2] > 1]) <= 10
+    assert sorted((o, b) for _, _, o, b, _ in built) == [
+        (o, 12) for o in range(0, 384, 12)]
+    assert sorted((o, b) for _, o, b in T._inv) == sorted(
+        [(o, 12) for o in range(0, 384, 12)]
+        + [(o, 24) for o in range(0, 384, 24)]
+        + [(o, 48) for o in range(0, 384, 48)])
 
 
 def test_fresh_tri_over_a_changed_diagonal_block_solves_correctly():
